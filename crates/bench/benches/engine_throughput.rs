@@ -55,6 +55,27 @@ fn timed_batch(
     elapsed
 }
 
+/// Cache-hit passes on two warm engines, timed alternately; returns the
+/// fastest of each. One warm batch takes only microseconds, so a single
+/// timing is mostly noise, and alternating the two engines exposes both to
+/// the same machine drift.
+fn timed_warm_pair(
+    first: &YieldProblem<moheco::CircuitBench<FoldedCascode>>,
+    second: &YieldProblem<moheco::CircuitBench<FoldedCascode>>,
+    designs: &[Vec<f64>],
+    samples: usize,
+) -> (u64, u64) {
+    (0..WARM_CALLS).fold((u64::MAX, u64::MAX), |(a, b), _| {
+        (
+            a.min(timed_batch(first, designs, samples)),
+            b.min(timed_batch(second, designs, samples)),
+        )
+    })
+}
+
+/// Warm batches timed per engine and repetition (see [`timed_warm_pair`]).
+const WARM_CALLS: usize = 25;
+
 /// Cold pass through a fresh single-worker serial engine, dispatching either
 /// the batched model or its scalarized wrapper. Isolates the `simulate_block`
 /// fast path from parallelism and cache effects.
@@ -182,19 +203,21 @@ fn main() {
     let mut scalar_cold = Vec::new();
     let mut batched_cold = Vec::new();
     for _ in 0..reps {
-        let problem = YieldProblem::with_engine(
+        let serial = YieldProblem::with_engine(
             FoldedCascode::new(),
             Arc::new(SerialEngine::new(EngineConfig::default())),
         );
-        serial_cold.push(timed_batch(&problem, &designs, samples));
-        serial_warm.push(timed_batch(&problem, &designs, samples));
+        serial_cold.push(timed_batch(&serial, &designs, samples));
 
-        let problem = YieldProblem::with_engine(
+        let parallel = YieldProblem::with_engine(
             FoldedCascode::new(),
             Arc::new(ParallelEngine::new(EngineConfig::default())),
         );
-        parallel_cold.push(timed_batch(&problem, &designs, samples));
-        parallel_warm.push(timed_batch(&problem, &designs, samples));
+        parallel_cold.push(timed_batch(&parallel, &designs, samples));
+
+        let (s_warm, p_warm) = timed_warm_pair(&serial, &parallel, &designs, samples);
+        serial_warm.push(s_warm);
+        parallel_warm.push(p_warm);
 
         scalar_cold.push(timed_cold_dispatch(&designs, samples, true));
         batched_cold.push(timed_cold_dispatch(&designs, samples, false));

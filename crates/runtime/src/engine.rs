@@ -4,7 +4,7 @@
 //! Both engines share one core. A batch of [`McRequest`]s is split into
 //! per-`(design, block)` tasks (deduplicated and merged, so one block is
 //! touched by exactly one task per batch), the tasks are executed — inline by
-//! [`SerialEngine`], on the work-stealing pool by [`ParallelEngine`] — and
+//! [`SerialEngine`], through [`pool::run_tasks`] by [`ParallelEngine`] — and
 //! the outcomes are assembled back in request order. Because a block's unit
 //! points are a pure function of `(engine seed, quantized design, block
 //! index)` and outcomes are cached per sample index, the *values* returned
@@ -955,22 +955,75 @@ mod tests {
         assert_eq!(parallel.mc_single(&Echo, &x, 49, 1), odd);
     }
 
+    /// [`Shifted`]'s threshold at a few µs per sample: a block costs over
+    /// 100 µs, so a batch of a few blocks clears the pool's inline cutoff
+    /// and runs on the helpers, where the cheap models stay inline.
+    struct Slow;
+
+    impl SimulationModel for Slow {
+        fn unit_dimension(&self) -> usize {
+            1
+        }
+
+        fn simulate_point(&self, x: &[f64], u: &[f64]) -> f64 {
+            let until = Instant::now() + std::time::Duration::from_micros(3);
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+            Shifted.simulate_point(x, u)
+        }
+
+        fn nominal(&self, x: &[f64]) -> Vec<f64> {
+            x.to_vec()
+        }
+
+        fn importance_shift(&self, x: &[f64]) -> Option<Vec<f64>> {
+            Shifted.importance_shift(x)
+        }
+    }
+
     #[test]
     fn every_estimator_is_deterministic_and_parallel_equals_serial() {
-        for kind in EstimatorKind::ALL {
-            let serial =
-                SerialEngine::new(EngineConfig::default().with_seed(7).with_estimator(kind));
-            let parallel = ParallelEngine::new(
-                EngineConfig::default()
-                    .with_seed(7)
-                    .with_estimator(kind)
-                    .with_workers(4),
-            );
-            let a = serial.mc_outcomes(&Threshold, &requests());
-            let b = parallel.mc_outcomes(&Threshold, &requests());
-            assert_eq!(a, b, "{kind:?} diverged");
-            assert_eq!(serial.simulations(), parallel.simulations(), "{kind:?}");
+        // The cheap model's batches finish inline; the slow one's clear the
+        // pool's inline cutoff and run on the helpers. Every estimator, with
+        // an unbounded and an eviction-forcing cache bound, on a cold batch
+        // and then a partly cached one.
+        let warm: Vec<McRequest> = requests()
+            .into_iter()
+            .map(|r| McRequest::new(r.design, r.start + 20, r.count))
+            .collect();
+        let designs = vec![vec![0.1, 0.2, 0.3], vec![0.4, 0.5, 0.6]];
+        let models: [&dyn SimulationModel; 2] = [&Threshold, &Slow];
+        for model in models {
+            for kind in EstimatorKind::ALL {
+                for bound in [0, 4] {
+                    let config = EngineConfig::default()
+                        .with_seed(7)
+                        .with_estimator(kind)
+                        .with_max_cached_blocks(bound);
+                    let serial = SerialEngine::new(config);
+                    let parallel = ParallelEngine::new(config.with_workers(4));
+                    for batch in [requests(), warm.clone()] {
+                        assert_eq!(
+                            serial.mc_outcomes(model, &batch),
+                            parallel.mc_outcomes(model, &batch),
+                            "{kind:?} bound {bound} diverged"
+                        );
+                    }
+                    assert_eq!(
+                        serial.nominal_batch(model, &designs),
+                        parallel.nominal_batch(model, &designs)
+                    );
+                    let (a, b) = (serial.stats(), parallel.stats());
+                    assert_eq!(a.simulations_run, b.simulations_run, "{kind:?} {bound}");
+                    assert_eq!(a.cache_hits, b.cache_hits, "{kind:?} {bound}");
+                    assert_eq!(a.evicted_blocks, b.evicted_blocks, "{kind:?} {bound}");
+                    assert_eq!(bound > 0, a.evicted_blocks > 0, "{kind:?} {bound}");
+                }
+            }
         }
+        // The slow batches woke the pool (a no-op check on one core).
+        assert_eq!(pool::helper_threads(), pool::default_workers() - 1);
     }
 
     /// One-dimensional threshold with an analytic importance shift: passes

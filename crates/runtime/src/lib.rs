@@ -9,9 +9,9 @@
 //!
 //! * [`engine::EvalEngine`] — the dispatch abstraction. Two implementations:
 //!   [`engine::SerialEngine`] (in-order, zero threads) and
-//!   [`engine::ParallelEngine`] (a work-stealing pool of `std::thread`
-//!   workers; the build environment has no `rayon`, so the pool in [`pool`]
-//!   plays its role).
+//!   [`engine::ParallelEngine`] (small batches inline, larger ones on a
+//!   persistent pool of parked `std::thread` helpers; the build environment
+//!   has no `rayon`, so the pool in [`pool`] plays its role).
 //! * **Deterministic per-job RNG streams** — every Monte-Carlo outcome of a
 //!   design is indexed. Outcomes are generated in fixed-size *blocks* whose
 //!   RNG seed derives from `(engine seed, quantized design, block index)`

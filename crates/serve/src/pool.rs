@@ -22,16 +22,19 @@
 //!
 //! Per-tenant cache quotas sit *on top of* each engine's own
 //! `max_cached_blocks`: after a cell completes (and its lease is dropped),
-//! the job runner calls [`EnginePool::enforce_tenant_quota`], which trims
-//! the tenant's idle engines to an equal share of the quota. Busy engines
-//! are skipped — never evict under a running batch — and get trimmed when
-//! their own cell finishes, so enforcement is eventually consistent but
-//! deadlock-free (no lease is ever held while waiting for another).
+//! the job runner calls [`EnginePool::enforce_tenant_quota`], which leases
+//! the tenant's idle engines and trims them to an equal share of the quota.
+//! Busy engines are skipped — never evict under a running batch — and get
+//! trimmed when their own cell finishes, so enforcement is eventually
+//! consistent but deadlock-free (no lease is ever held while waiting for
+//! another). Holding the trimmed engines' leases is what keeps a concurrent
+//! checkout from starting a batch on an engine mid-trim.
 
 use moheco_bench::jobspec::{EngineReuse, JobSpec};
 use moheco_runtime::{EngineCacheUsage, EngineConfig, EvalEngine};
 use moheco_sampling::SamplingPlan;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// The slot identity: everything that shapes an engine's behaviour, plus the
@@ -57,6 +60,7 @@ pub struct EnginePool {
     quota_blocks: usize,
     inner: Mutex<HashMap<SlotKey, Slot>>,
     freed: Condvar,
+    quota_evictions: AtomicU64,
 }
 
 impl EnginePool {
@@ -67,6 +71,7 @@ impl EnginePool {
             quota_blocks,
             inner: Mutex::new(HashMap::new()),
             freed: Condvar::new(),
+            quota_evictions: AtomicU64::new(0),
         }
     }
 
@@ -125,28 +130,53 @@ impl EnginePool {
         if self.quota_blocks == 0 {
             return;
         }
-        // Snapshot the tenant's idle engines under the lock, trim outside it
-        // (trimming can walk a large cache; holding the pool lock that long
-        // would stall every checkout).
-        let idle: Vec<Arc<dyn EvalEngine>> = {
-            let inner = self.inner.lock().expect("pool lock");
-            inner
+        // Lease the tenant's idle engines under the lock, trim outside it:
+        // a concurrent checkout of one of them waits for the trim instead of
+        // starting a batch whose blocks the trim would evict under it, and
+        // no checkout of another slot stalls behind a long cache walk.
+        let leases: Vec<EngineLease<'_>> = {
+            let mut inner = self.inner.lock().expect("pool lock");
+            let total: usize = inner
                 .iter()
                 .filter(|(key, slot)| key.tenant == tenant && !slot.busy)
-                .map(|(_, slot)| slot.engine.clone())
+                .map(|(_, slot)| slot.engine.cache_blocks())
+                .sum();
+            if total <= self.quota_blocks {
+                return;
+            }
+            inner
+                .iter_mut()
+                .filter(|(key, slot)| key.tenant == tenant && !slot.busy)
+                .map(|(key, slot)| {
+                    slot.busy = true;
+                    EngineLease {
+                        pool: self,
+                        key: key.clone(),
+                        engine: slot.engine.clone(),
+                    }
+                })
                 .collect()
         };
-        let total: usize = idle.iter().map(|e| e.cache_blocks()).sum();
-        if total <= self.quota_blocks {
-            return;
-        }
-        let holding = idle.iter().filter(|e| e.cache_blocks() > 0).count().max(1);
+        let holding = leases
+            .iter()
+            .filter(|l| l.engine.cache_blocks() > 0)
+            .count()
+            .max(1);
         let share = (self.quota_blocks / holding).max(1);
-        for engine in &idle {
-            if engine.cache_blocks() > share {
-                engine.enforce_cache_limit(share);
+        for lease in &leases {
+            if lease.engine.cache_blocks() > share {
+                let evicted = lease.engine.enforce_cache_limit(share);
+                self.quota_evictions.fetch_add(evicted, Ordering::Relaxed);
             }
         }
+    }
+
+    /// Blocks evicted by [`EnginePool::enforce_tenant_quota`] since the pool
+    /// was created. Quota trims run after a cell's engine counters were
+    /// recorded, and the next checkout resets those counters, so this is the
+    /// only place the trims are counted.
+    pub fn quota_evictions(&self) -> u64 {
+        self.quota_evictions.load(Ordering::Relaxed)
     }
 
     /// Per-engine cache footprint of the whole pool, labelled
@@ -216,6 +246,8 @@ impl Drop for EngineLease<'_> {
 mod tests {
     use super::*;
     use moheco_bench::{Algo, EngineKind};
+    use moheco_runtime::{McRequest, SimulationModel};
+    use std::sync::atomic::AtomicBool;
 
     fn spec() -> JobSpec {
         JobSpec {
@@ -256,5 +288,68 @@ mod tests {
         drop((a, b));
         assert_eq!(pool.usage().len(), 2);
         assert_eq!(pool.tenant_usage().len(), 2);
+    }
+
+    /// Passes when `u[0] < x[0]`; nominal margins echo the design.
+    struct Threshold;
+
+    impl SimulationModel for Threshold {
+        fn unit_dimension(&self) -> usize {
+            2
+        }
+
+        fn simulate_point(&self, x: &[f64], u: &[f64]) -> f64 {
+            f64::from(u8::from(u[0] < x[0]))
+        }
+
+        fn nominal(&self, x: &[f64]) -> Vec<f64> {
+            x.to_vec()
+        }
+    }
+
+    /// Sets the flag when dropped, so a panicking test still stops its
+    /// background thread.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn quota_trims_never_evict_under_a_checked_out_engine() {
+        // One thread trims the tenant to a one-block quota as fast as it can
+        // while another checks the tenant's engine out and runs batches that
+        // need far more than one block. A trim that reached the leased
+        // engine would evict blocks or nominal margins mid-batch and panic
+        // the batch's assembly.
+        let pool = EnginePool::new(1);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    pool.enforce_tenant_quota("acme");
+                }
+            });
+            let _stop = StopOnDrop(&stop);
+            for round in 0..300 {
+                let lease = pool.checkout("acme", "margin_wall", &spec(), 1);
+                let designs: Vec<Vec<f64>> = (0..8)
+                    .map(|i| vec![0.1 * i as f64 + 1e-3 * round as f64, 0.5])
+                    .collect();
+                let requests: Vec<McRequest> = designs
+                    .iter()
+                    .map(|x| McRequest::new(x.clone(), 0, 120))
+                    .collect();
+                assert_eq!(lease.engine.nominal_batch(&Threshold, &designs), designs);
+                let outcomes = lease.engine.mc_outcomes(&Threshold, &requests);
+                assert!(outcomes.iter().all(|o| o.len() == 120));
+            }
+        });
+        assert!(
+            pool.quota_evictions() > 0,
+            "the trimmer must have evicted between leases"
+        );
     }
 }

@@ -412,7 +412,11 @@ fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> std::io::Res
 }
 
 fn render_metrics(shared: &Shared) -> String {
-    let stats = shared.registry.total_stats();
+    // Quota trims run after a cell's counters were recorded, so the cells'
+    // totals never see them; the pool counts them instead.
+    let quota_evictions = shared.pool.quota_evictions();
+    let mut stats = shared.registry.total_stats();
+    stats.evicted_blocks += quota_evictions;
     let mut out = render_prometheus(&stats, &PhaseBreakdown::default());
 
     let counters = shared.registry.counters();
@@ -490,6 +494,18 @@ fn render_metrics(shared: &Shared) -> String {
     );
 
     out.push_str(&render_pool_cache(&shared.pool.usage()));
+    push_header(
+        &mut out,
+        "moheco_pool_quota_evicted_blocks_total",
+        "counter",
+        "Blocks evicted by per-tenant quota trims (also in moheco_engine_evicted_blocks).",
+    );
+    push_sample(
+        &mut out,
+        "moheco_pool_quota_evicted_blocks_total",
+        &[],
+        quota_evictions as f64,
+    );
 
     push_header(
         &mut out,

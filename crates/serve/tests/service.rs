@@ -10,7 +10,8 @@
 //! * A full queue answers 429 and holds nothing of the rejected job; the
 //!   resubmission after drain completes normally (no silent drop).
 //! * Per-tenant cache quotas trim a cache-hungry tenant without starving a
-//!   small one.
+//!   small one, never trim an engine a cell is running on, and show their
+//!   evictions in `/metrics`.
 
 use moheco_bench::jobspec::{EngineReuse, JobSpec};
 use moheco_bench::{run_campaign, Algo, BudgetClass, ScheduleKind};
@@ -463,4 +464,64 @@ fn tenant_quota_trims_the_hog_without_starving_the_mouse() {
     assert!(metrics.contains(&format!("moheco_tenant_cache_quota_blocks {quota}")));
 
     limited.shutdown();
+}
+
+/// The value of an unlabelled sample in a Prometheus exposition.
+fn metric(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing from /metrics"))
+}
+
+#[test]
+fn two_workers_under_a_tight_quota_complete_every_job() {
+    // Two workers run cells of one tenant's jobs concurrently on different
+    // scenario engines, and every finished cell trims the tenant's idle
+    // engines to a one-block quota. A trim that raced a checkout evicted
+    // blocks under the other worker's running batch and failed its job.
+    const JOBS: u64 = 96;
+    let server = server("quota-race", 2, JOBS as usize, 1);
+    let addr = server.addr();
+    let ids: Vec<String> = (0..JOBS)
+        .map(|j| {
+            let job = JobSpec {
+                scenarios: [
+                    "margin_wall",
+                    "quadratic_feasibility",
+                    "rotated_ellipsoid",
+                    "two_basin",
+                ]
+                .map(String::from)
+                .to_vec(),
+                algos: vec![Algo::TwoStage],
+                budget: BudgetClass::Tiny,
+                seeds: (1 + 4 * j..5 + 4 * j).collect(),
+                reuse: EngineReuse::Reset,
+                ..JobSpec::default()
+            };
+            let (status, id) = submit(addr, "acme", &job);
+            assert_eq!(status, 202);
+            id
+        })
+        .collect();
+    for id in &ids {
+        stream(addr, id);
+        let status = request(addr, "GET", &format!("/jobs/{id}"), &[], b"")
+            .expect("status")
+            .text();
+        assert!(
+            status.contains("\"state\": \"completed\""),
+            "job {id} did not complete: {status}"
+        );
+    }
+
+    // The trims are visible: in their own counter, and folded into the
+    // engine eviction counter the cells' own sweeps feed.
+    let metrics = request(addr, "GET", "/metrics", &[], b"")
+        .expect("metrics")
+        .text();
+    let quota = metric(&metrics, "moheco_pool_quota_evicted_blocks_total");
+    assert!(quota > 0.0, "quota trims must be counted");
+    assert!(metric(&metrics, "moheco_engine_evicted_blocks") >= quota);
+    server.shutdown();
 }

@@ -5,9 +5,10 @@
 //! Monte-Carlo randomness lives in per-(design, block) RNG streams that do
 //! not depend on execution order.
 
-use moheco::runtime::{EngineConfig, ParallelEngine, SerialEngine};
+use moheco::runtime::{EngineConfig, McRequest, ParallelEngine, SerialEngine};
 use moheco::{Candidate, CircuitBench, MohecoConfig, RunResult, YieldOptimizer, YieldProblem};
 use moheco_analog::{FoldedCascode, Testbench};
+use moheco_sampling::EstimatorKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -156,4 +157,59 @@ fn engine_stats_are_surfaced_in_the_run_result() {
     // after the last recorded generation may add a few more hits).
     let last = result.trace.records.last().unwrap();
     assert!(last.cache_hits_so_far <= stats.cache_hits);
+}
+
+#[test]
+fn circuit_batches_match_on_both_sides_of_the_inline_cutoff() {
+    // A cold batch of circuit blocks (about a millisecond each) runs on the
+    // worker pool; re-reading it warm, plus a one-block extension, is cheap
+    // enough to stay inline. Every estimator, with an unbounded and an
+    // eviction-forcing cache bound.
+    let reference = FoldedCascode::new().reference_design();
+    let designs: Vec<Vec<f64>> = [130.0, 150.0, 170.0]
+        .iter()
+        .map(|&current| {
+            let mut x = reference.clone();
+            x[8] = current;
+            x
+        })
+        .collect();
+    let cold: Vec<McRequest> = designs
+        .iter()
+        .map(|x| McRequest::new(x.clone(), 0, 100))
+        .collect();
+    let warm: Vec<McRequest> = designs
+        .iter()
+        .map(|x| McRequest::new(x.clone(), 30, 80))
+        .collect();
+    for kind in EstimatorKind::ALL {
+        for bound in [0, 2] {
+            let config = EngineConfig::default()
+                .with_seed(17)
+                .with_estimator(kind)
+                .with_max_cached_blocks(bound);
+            let serial = YieldProblem::with_engine(
+                FoldedCascode::new(),
+                Arc::new(SerialEngine::new(config)),
+            );
+            let parallel = YieldProblem::with_engine(
+                FoldedCascode::new(),
+                Arc::new(ParallelEngine::new(config.with_workers(4))),
+            );
+            for requests in [&cold, &warm] {
+                assert_eq!(
+                    serial.outcomes_batch(requests),
+                    parallel.outcomes_batch(requests),
+                    "{kind:?} bound {bound}"
+                );
+            }
+            let (a, b) = (serial.engine().stats(), parallel.engine().stats());
+            assert_eq!(
+                a.simulations_run, b.simulations_run,
+                "{kind:?} bound {bound}"
+            );
+            assert_eq!(a.cache_hits, b.cache_hits, "{kind:?} bound {bound}");
+            assert_eq!(a.evicted_blocks, b.evicted_blocks, "{kind:?} bound {bound}");
+        }
+    }
 }
