@@ -16,6 +16,7 @@ use crate::specs::AmplifierPerformance;
 use moheco_process::ProcessSample;
 use spicelite::ac::log_space;
 use spicelite::batch::FactorizedCircuit;
+use spicelite::mosfet::{vgs_for_currents, BiasRequest, MosOperatingPoint, Mosfet};
 use spicelite::netlist::{LinearCircuit, NodeId};
 use std::sync::OnceLock;
 
@@ -62,6 +63,29 @@ impl PreparedSample {
     }
 }
 
+/// Solves the bias points of `N` devices with one lane call: the gate
+/// voltage that drives each `(device, branch current, |Vds|)` triple's
+/// current with source at bulk, then the operating point there. `None` when
+/// any device has no bias solution.
+pub(crate) fn operating_points<const N: usize>(
+    devices: [(&Mosfet, f64, f64); N],
+) -> Option<[MosOperatingPoint; N]> {
+    let requests = devices.map(|(device, id_target, vds)| BiasRequest {
+        device,
+        id_target,
+        vds,
+        vsb: 0.0,
+    });
+    let mut vgs = [0.0; N];
+    for (v, solved) in vgs.iter_mut().zip(vgs_for_currents(&requests)) {
+        *v = solved.ok()?;
+    }
+    Some(std::array::from_fn(|l| {
+        let r = &requests[l];
+        r.device.operating_point(vgs[l], r.vds, r.vsb)
+    }))
+}
+
 /// Runs a block of process samples through `prepare` and a shared factorized
 /// AC sweep. Samples whose preparation fails (bad geometry, no bias solution)
 /// or whose sweep hits a singular matrix map to
@@ -81,13 +105,10 @@ where
                 return AmplifierPerformance::failed();
             };
             // All samples of a block share the design point, so the netlist
-            // structure is fixed; the guard only rebuilds if that ever stops
-            // holding (e.g. a future conditional topology).
-            if fac.as_ref().is_none_or(|f| !f.matches(&p.ckt)) {
-                fac = Some(FactorizedCircuit::new(&p.ckt));
-            }
-            let fac = fac.as_mut().expect("factorized template just installed");
-            match fac.sweep(&p.ckt, p.out, freqs) {
+            // structure is fixed; `sweep_replanning` only rebuilds the plan if
+            // that ever stops holding (e.g. a future conditional topology).
+            let fac = fac.get_or_insert_with(|| FactorizedCircuit::new(&p.ckt));
+            match fac.sweep_replanning(&p.ckt, p.out, freqs) {
                 Ok(resp) => {
                     let foms = resp.foms();
                     let (gbw_hz, pm_deg) = match (foms.unity_gain_freq, foms.phase_margin_deg) {

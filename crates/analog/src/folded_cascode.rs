@@ -16,7 +16,7 @@
 //! 4. compute output swing, power, area and input offset analytically from
 //!    the operating points.
 
-use crate::batch_eval::{evaluate_block_batched, PreparedSample};
+use crate::batch_eval::{evaluate_block_batched, operating_points, PreparedSample};
 use crate::specs::{AmplifierPerformance, SpecKind, SpecSet, SpecTarget, Specification};
 use crate::testbench::{DesignVariable, Testbench};
 use crate::variation_map::{
@@ -243,16 +243,14 @@ impl FoldedCascode {
         let m_nmir = Mosfet::new(nmodel(dev::M10_NMIR_P, g_nmir), g_nmir);
 
         // Solve gate biases for the branch currents at representative Vds.
-        let op = |m: &Mosfet, id: f64, vds: f64| -> Option<spicelite::mosfet::MosOperatingPoint> {
-            let vgs = m.vgs_for_current(id, vds, 0.0).ok()?;
-            Some(m.operating_point(vgs, vds, 0.0))
-        };
-        let op_in = op(&m_in, id_in, 1.0)?;
-        let op_tail = op(&m_tail, i_tail, 0.4)?;
-        let op_psrc = op(&m_psrc, i_psrc, 0.5)?;
-        let op_pcas = op(&m_pcas, i_fold, vdd / 2.0)?;
-        let op_ncas = op(&m_ncas, i_fold, 0.7)?;
-        let op_nmir = op(&m_nmir, i_fold, 0.5)?;
+        let [op_in, op_tail, op_psrc, op_pcas, op_ncas, op_nmir] = operating_points([
+            (&m_in, id_in, 1.0),
+            (&m_tail, i_tail, 0.4),
+            (&m_psrc, i_psrc, 0.5),
+            (&m_pcas, i_fold, vdd / 2.0),
+            (&m_ncas, i_fold, 0.7),
+            (&m_nmir, i_fold, 0.5),
+        ])?;
 
         // Saturation / headroom checks.
         let overdrives = [

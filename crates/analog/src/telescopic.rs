@@ -16,7 +16,7 @@
 //! against the area bound), which is the behaviour that matters for the
 //! optimizer comparison. See DESIGN.md.
 
-use crate::batch_eval::{evaluate_block_batched, PreparedSample};
+use crate::batch_eval::{evaluate_block_batched, operating_points, PreparedSample};
 use crate::specs::{AmplifierPerformance, SpecKind, SpecSet, SpecTarget, Specification};
 use crate::testbench::{DesignVariable, Testbench};
 use crate::variation_map::{
@@ -241,17 +241,15 @@ impl TelescopicTwoStage {
         let m_p2 = Mosfet::new(pmodel(dev::M9_DRV_P, g_p2), g_p2);
         let m_n2 = Mosfet::new(nmodel(dev::M11_SRC_P, g_n2), g_n2);
 
-        let op = |m: &Mosfet, id: f64, vds: f64| -> Option<spicelite::mosfet::MosOperatingPoint> {
-            let vgs = m.vgs_for_current(id, vds, 0.0).ok()?;
-            Some(m.operating_point(vgs, vds, 0.0))
-        };
-        let op_in = op(&m_in, id1, 0.3)?;
-        let op_tail = op(&m_tail, i_tail, 0.15)?;
-        let op_ncas = op(&m_ncas, id1, 0.3)?;
-        let op_pcas = op(&m_pcas, id1, 0.3)?;
-        let op_pload = op(&m_pload, id1, 0.2)?;
-        let op_p2 = op(&m_p2, i_2, vdd / 2.0)?;
-        let op_n2 = op(&m_n2, i_2, vdd / 2.0)?;
+        let [op_in, op_tail, op_ncas, op_pcas, op_pload, op_p2, op_n2] = operating_points([
+            (&m_in, id1, 0.3),
+            (&m_tail, i_tail, 0.15),
+            (&m_ncas, id1, 0.3),
+            (&m_pcas, id1, 0.3),
+            (&m_pload, id1, 0.2),
+            (&m_p2, i_2, vdd / 2.0),
+            (&m_n2, i_2, vdd / 2.0),
+        ])?;
 
         // Saturation / headroom checks.
         let overdrives = [

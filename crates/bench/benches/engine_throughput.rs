@@ -1,12 +1,13 @@
 //! Throughput benchmark of the `moheco-runtime` evaluation engine:
-//! serial vs parallel batch evaluation, cache-miss vs cache-hit paths, and
-//! the batched (`simulate_block`) vs scalar (`simulate_point` loop) fast
-//! path, on the folded-cascode testbench of example 1.
+//! serial vs parallel batch evaluation, cache-miss vs cache-hit paths, the
+//! batched (`simulate_block`) vs scalar (`simulate_point` loop) fast path,
+//! and the AC-sweep and bias-solve kernels alone, on the folded-cascode
+//! testbench of example 1.
 //!
 //! Runs as a plain `harness = false` benchmark (the environment has no real
 //! criterion) and emits a machine-readable `BENCH_runtime.json` at the
 //! workspace root alongside the human-readable report. CI gates on the
-//! `batch_speedup` field.
+//! `batch_speedup`, `bias_lane_speedup` and warm-path fields.
 //!
 //! Pass `--samples <n>` / `--designs <n>` / `--reps <n>` to change the load.
 
@@ -153,6 +154,86 @@ fn timed_kernel_sweep(reps: usize) -> (u64, u64) {
     (median(scalar), median(batched))
 }
 
+/// Times the folded cascode's six bias solves per sample — a scalar loop of
+/// `Mosfet::vgs_for_current` against one lane call of `vgs_for_currents` —
+/// on its reference-design devices at their testbench branch currents and
+/// drain voltages. Returns `(scalar, lanes)` ns per sample.
+fn timed_bias_solve(reps: usize) -> (u64, u64) {
+    use spicelite::mosfet::{
+        model_035um, vgs_for_currents, BiasRequest, MosGeometry, MosType, Mosfet,
+    };
+    use std::hint::black_box;
+    let nmos = model_035um(MosType::Nmos);
+    let pmos = model_035um(MosType::Pmos);
+    let device = |model, w_um: f64, l_um: f64| {
+        Mosfet::new(
+            model,
+            MosGeometry::new(w_um * 1e-6, l_um * 1e-6, 1.0).unwrap(),
+        )
+    };
+    // (device, branch current, |Vds|): input, tail, PMOS source, PMOS
+    // cascode, NMOS cascode, NMOS mirror at i_tail = 160 uA.
+    let bias = [
+        (device(nmos, 120.0, 1.0), 80e-6, 1.0),
+        (device(nmos, 240.0, 1.0), 160e-6, 0.4),
+        (device(pmos, 300.0, 1.0), 140e-6, 0.5),
+        (device(pmos, 120.0, 0.7), 60e-6, 1.65),
+        (device(nmos, 100.0, 0.7), 60e-6, 0.7),
+        (device(nmos, 120.0, 1.0), 60e-6, 0.5),
+    ];
+    // Spread the targets slightly per sample so no solve repeats.
+    let scale = |k: usize| 1.0 + (k % 97) as f64 * 1e-4;
+    let scalar_chunk = || {
+        let start = Instant::now();
+        let mut acc = 0.0;
+        for k in 0..BIAS_CHUNK {
+            for (d, id, vds) in &bias {
+                acc += black_box(d)
+                    .vgs_for_current(black_box(id * scale(k)), *vds, 0.0)
+                    .unwrap();
+            }
+        }
+        (start.elapsed().as_nanos() as u64 / BIAS_CHUNK as u64, acc)
+    };
+    let lane_chunk = || {
+        let start = Instant::now();
+        let mut acc = 0.0;
+        for k in 0..BIAS_CHUNK {
+            let requests = bias.each_ref().map(|(d, id, vds)| BiasRequest {
+                device: black_box(d),
+                id_target: black_box(id * scale(k)),
+                vds: *vds,
+                vsb: 0.0,
+            });
+            for vgs in vgs_for_currents(&requests) {
+                acc += vgs.unwrap();
+            }
+        }
+        (start.elapsed().as_nanos() as u64 / BIAS_CHUNK as u64, acc)
+    };
+    // Per repetition, the fastest of alternated chunks (see
+    // `timed_warm_pair`); the medians across repetitions are reported.
+    let mut scalar = Vec::new();
+    let mut lanes = Vec::new();
+    for _ in 0..reps {
+        let (mut s_min, mut l_min) = (u64::MAX, u64::MAX);
+        for _ in 0..BIAS_ROUNDS {
+            let (s_ns, s_acc) = scalar_chunk();
+            let (l_ns, l_acc) = lane_chunk();
+            assert_eq!(s_acc.to_bits(), l_acc.to_bits(), "bias paths must agree");
+            s_min = s_min.min(s_ns);
+            l_min = l_min.min(l_ns);
+        }
+        scalar.push(s_min);
+        lanes.push(l_min);
+    }
+    (median(scalar), median(lanes))
+}
+
+/// Samples per timed bias-solve chunk, and alternated chunks per repetition.
+const BIAS_CHUNK: usize = 200;
+const BIAS_ROUNDS: usize = 10;
+
 fn build_designs(n: usize) -> Vec<Vec<f64>> {
     let reference = FoldedCascode::new().reference_design();
     (0..n)
@@ -223,6 +304,7 @@ fn main() {
         batched_cold.push(timed_cold_dispatch(&designs, samples, false));
     }
     let (sweep_scalar, sweep_batched) = timed_kernel_sweep(reps);
+    let (bias_scalar, bias_lanes) = timed_bias_solve(reps);
 
     // A final instrumented pass for the stats block.
     let instrumented = YieldProblem::with_engine(
@@ -243,6 +325,7 @@ fn main() {
     let hit_speedup = s_cold as f64 / s_warm.max(1) as f64;
     let batch_speedup = sc_cold as f64 / b_cold.max(1) as f64;
     let kernel_sweep_speedup = sweep_scalar as f64 / sweep_batched.max(1) as f64;
+    let bias_lane_speedup = bias_scalar as f64 / bias_lanes.max(1) as f64;
     let scalar_per_sample = sc_cold as f64 / total.max(1) as f64;
     let batched_per_sample = b_cold as f64 / total.max(1) as f64;
 
@@ -270,6 +353,9 @@ fn main() {
     println!(
         "  AC-sweep kernel alone: scalar {sweep_scalar} ns/sweep   batched {sweep_batched} ns/sweep   ({kernel_sweep_speedup:.2}x)"
     );
+    println!(
+        "  bias solve (6 devices/sample): scalar {bias_scalar} ns/sample   lanes {bias_lanes} ns/sample   ({bias_lane_speedup:.2}x)"
+    );
     println!("  parallel/serial speedup (cold): {speedup:.2}x  (machine has {cores} core(s))");
     println!("  cache hit/miss speedup (serial): {hit_speedup:.2}x");
     println!("  instrumented pass: {stats}");
@@ -296,6 +382,9 @@ fn main() {
             "  \"scalar_sweep_ns\": {},\n",
             "  \"batched_sweep_ns\": {},\n",
             "  \"kernel_sweep_speedup\": {:.4},\n",
+            "  \"bias_scalar_ns\": {},\n",
+            "  \"bias_lanes_ns\": {},\n",
+            "  \"bias_lane_speedup\": {:.4},\n",
             "  \"parallel_speedup\": {:.4},\n",
             "  \"cache_hit_speedup\": {:.4},\n",
             "  \"engine_stats\": {}\n",
@@ -318,6 +407,9 @@ fn main() {
         sweep_scalar,
         sweep_batched,
         kernel_sweep_speedup,
+        bias_scalar,
+        bias_lanes,
+        bias_lane_speedup,
         speedup,
         hit_speedup,
         stats.to_json(),

@@ -137,21 +137,26 @@ impl FrequencyResponse {
     }
 
     fn unwrapped_phase(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.values.len());
-        let mut prev = self.values[0].arg_deg();
-        out.push(prev);
-        for v in &self.values[1..] {
+        self.unwrapped_phases().collect()
+    }
+
+    /// The unwrapped phase sweep, point by point: each phase is shifted by
+    /// whole turns to lie within 180° of its predecessor.
+    fn unwrapped_phases(&self) -> impl Iterator<Item = f64> + '_ {
+        let mut prev: Option<f64> = None;
+        self.values.iter().map(move |v| {
             let mut p = v.arg_deg();
-            while p - prev > 180.0 {
-                p -= 360.0;
+            if let Some(prev) = prev {
+                while p - prev > 180.0 {
+                    p -= 360.0;
+                }
+                while p - prev < -180.0 {
+                    p += 360.0;
+                }
             }
-            while p - prev < -180.0 {
-                p += 360.0;
-            }
-            out.push(p);
-            prev = p;
-        }
-        out
+            prev = Some(p);
+            p
+        })
     }
 
     /// Low-frequency (DC) gain in dB — the gain at the first sweep point.
@@ -218,28 +223,30 @@ impl FrequencyResponse {
     ///
     /// Bit-identical to calling [`Self::dc_gain_db`], [`Self::unity_gain_freq`]
     /// and [`Self::phase_margin_deg`] separately (the batched simulation path
-    /// relies on this), but computes the gain curve and unwrapped phase once
-    /// instead of once per method.
+    /// relies on this), but reads only the prefix of the sweep those methods
+    /// depend on: gains up to the first 0 dB crossing, and unwrapped phases
+    /// up to the first frequency at or above the unity-gain frequency (all
+    /// of them when none is). Unwrapping is sequential, so a prefix of the
+    /// unwrapped sweep equals the same prefix of the full one.
     pub fn foms(&self) -> AcFoms {
         let n = self.freqs.len();
-        let gains: Vec<f64> = (0..n)
-            .map(|i| 20.0 * self.magnitude(i).max(1e-30).log10())
-            .collect();
+        let dc_gain_db = self.gain_db(0);
         let unity_gain_freq = (|| {
-            if gains[0] <= 0.0 {
+            if dc_gain_db <= 0.0 {
                 return Err(SpiceError::AcExtraction {
                     reason: "gain is below 0 dB at the lowest swept frequency".into(),
                 });
             }
+            let mut g0 = dc_gain_db;
             for i in 1..n {
-                let g0 = gains[i - 1];
-                let g1 = gains[i];
+                let g1 = self.gain_db(i);
                 if g0 > 0.0 && g1 <= 0.0 {
                     let t = g0 / (g0 - g1);
                     let lf = self.freqs[i - 1].log10()
                         + t * (self.freqs[i].log10() - self.freqs[i - 1].log10());
                     return Ok(10f64.powf(lf));
                 }
+                g0 = g1;
             }
             Err(SpiceError::AcExtraction {
                 reason: "no unity-gain crossing within the swept range".into(),
@@ -249,22 +256,29 @@ impl FrequencyResponse {
             Err(e) => Err(e.clone()),
             Ok(fu) => {
                 let fu = *fu;
-                let phases = self.unwrapped_phase();
-                let mut phase_at_fu = phases[phases.len() - 1];
-                for i in 1..self.freqs.len() {
-                    if self.freqs[i] >= fu {
+                let above = (1..n).find(|&i| self.freqs[i] >= fu);
+                let mut phases = self.unwrapped_phases();
+                let phase_dc = phases.next().expect("a sweep has at least one point");
+                // `(phases[last - 1], phases[last])`, or the DC phase twice
+                // when `last` is 0.
+                let last = above.unwrap_or(n - 1);
+                let (before, at) = phases
+                    .take(last)
+                    .fold((phase_dc, phase_dc), |(_, at), p| (at, p));
+                let phase_at_fu = match above {
+                    Some(i) => {
                         let t = (fu.log10() - self.freqs[i - 1].log10())
                             / (self.freqs[i].log10() - self.freqs[i - 1].log10());
-                        phase_at_fu = phases[i - 1] + t * (phases[i] - phases[i - 1]);
-                        break;
+                        before + t * (at - before)
                     }
-                }
-                let phase_shift = phase_at_fu - phases[0];
+                    None => at,
+                };
+                let phase_shift = phase_at_fu - phase_dc;
                 Ok(180.0 + phase_shift)
             }
         };
         AcFoms {
-            dc_gain_db: gains[0],
+            dc_gain_db,
             unity_gain_freq,
             phase_margin_deg,
         }
@@ -488,6 +502,70 @@ mod tests {
             let (ckt, out) = rc_lowpass(1_000.0, 1e-9);
             responses.push(sweep(&ckt, out, &log_space(1.0, 1e6, 50)).unwrap());
         }
+        // Synthetic responses pin the edges of the early exits: the crossing
+        // at the last sweep point, crossings landing exactly on 0 dB (so the
+        // interpolated fu rounds onto, past or just short of the crossing
+        // frequency), gain at or below 0 dB at DC, and phases wrapping
+        // through several turns before and after the crossing.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // fu relative to the crossing frequency: [short, onto, past], and
+        // past the last sweep point (which takes the last-phase fallback).
+        let mut landed = [0usize; 3];
+        let mut past_last = 0;
+        for case in 0..240 {
+            let n = 2 + case % 13;
+            // Arbitrary ascending grids: `10^log10(f)` does not round-trip
+            // for every `f`, so interpolating exactly 0 dB lands fu onto,
+            // past or short of the crossing frequency.
+            let mut freqs = vec![10f64.powf(6.0 * next())];
+            for _ in 1..n {
+                let f = freqs[freqs.len() - 1] * (1.5 + 20.0 * next());
+                freqs.push(f);
+            }
+            // Crossing index c in 1..n; `case % 4 == 3` puts it last.
+            let c = if case % 4 == 3 {
+                n - 1
+            } else {
+                1 + case % (n - 1)
+            };
+            let values: Vec<Complex> = (0..n)
+                .map(|i| {
+                    let mag = match case % 3 {
+                        // Exactly 0 dB at the crossing.
+                        _ if i == c => 1.0,
+                        0 => 10f64.powf(if i < c { 2.0 } else { -1.0 }),
+                        1 => 1.0 + 1e-9 * (i as f64 + 1.0) * if i < c { 1.0 } else { -1.0 },
+                        _ => 10f64.powf(3.0 * next() * if i < c { 1.0 } else { -1.0 }),
+                    };
+                    let phase = std::f64::consts::PI * (8.0 * next() - 4.0);
+                    Complex::new(mag * phase.cos(), mag * phase.sin())
+                })
+                .collect();
+            let resp = FrequencyResponse { freqs, values };
+            if let Ok(fu) = resp.unity_gain_freq() {
+                let fc = resp.freqs[c];
+                landed[usize::from(fu >= fc) + usize::from(fu > fc)] += 1;
+                past_last += usize::from(c == n - 1 && fu > fc);
+            }
+            responses.push(resp);
+            // The same shape with DC pushed to exactly 0 dB and below.
+            for dc in [1.0, 0.5] {
+                let mut low = responses.last().unwrap().clone();
+                low.values[0] = Complex::new(dc, 0.0);
+                responses.push(low);
+            }
+        }
+        assert!(
+            landed.iter().all(|&k| k > 0) && past_last > 0,
+            "fu must land short of, onto and past the crossing point, and past \
+             the last point: {landed:?} {past_last}"
+        );
         for resp in &responses {
             let foms = resp.foms();
             assert_eq!(foms.dc_gain_db.to_bits(), resp.dc_gain_db().to_bits());

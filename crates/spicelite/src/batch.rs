@@ -88,7 +88,7 @@ struct CapOp {
 
 /// Structural fingerprint of the template circuit; every loaded circuit must
 /// match it exactly (values may differ, topology may not).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct StructSig {
     num_nodes: usize,
     conductances: Vec<(NodeId, NodeId)>,
@@ -346,22 +346,42 @@ impl FactorizedCircuit {
     }
 
     /// Returns `true` when `circuit` has exactly the structure this plan was
-    /// compiled from (same nodes, same elements in the same order).
+    /// compiled from (same nodes, same elements in the same order). Compares
+    /// element endpoints in place, without allocating.
     pub fn matches(&self, circuit: &LinearCircuit) -> bool {
-        self.sig == StructSig::of(circuit)
+        let sig = &self.sig;
+        sig.num_nodes == circuit.num_nodes()
+            && sig
+                .conductances
+                .iter()
+                .copied()
+                .eq(circuit.conductances.iter().map(|&(p, q, _)| (p, q)))
+            && sig
+                .capacitances
+                .iter()
+                .copied()
+                .eq(circuit.capacitances.iter().map(|&(p, q, _)| (p, q)))
+            && sig.vccs.iter().copied().eq(circuit
+                .vccs
+                .iter()
+                .map(|g| (g.out_p, g.out_n, g.in_p, g.in_n)))
+            && sig
+                .isources
+                .iter()
+                .copied()
+                .eq(circuit.isources.iter().map(|s| (s.from, s.to)))
+            && sig
+                .vsources
+                .iter()
+                .copied()
+                .eq(circuit.vsources.iter().map(|v| (v.p, v.n)))
     }
 
     /// Re-reads the element values of `circuit` through the precomputed stamp
-    /// programs: real plane, signed capacitances and right-hand side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `circuit` does not structurally match the template.
+    /// programs: real plane, signed capacitances and right-hand side. The
+    /// caller has checked that `circuit` matches the template.
     fn load(&mut self, circuit: &LinearCircuit) {
-        assert!(
-            self.matches(circuit),
-            "circuit structure differs from the factorized template"
-        );
+        debug_assert!(self.matches(circuit));
         self.re_base.iter_mut().for_each(|v| *v = 0.0);
         for op in &self.re_prog {
             let val = match op.src {
@@ -402,6 +422,38 @@ impl FactorizedCircuit {
     ///
     /// Panics if `circuit` does not structurally match the template.
     pub fn sweep(
+        &mut self,
+        circuit: &LinearCircuit,
+        output: NodeId,
+        freqs: &[f64],
+    ) -> Result<FrequencyResponse, SpiceError> {
+        assert!(
+            self.matches(circuit),
+            "circuit structure differs from the factorized template"
+        );
+        self.sweep_matched(circuit, output, freqs)
+    }
+
+    /// [`Self::sweep`] for a circuit of any structure: re-plans from
+    /// `circuit` first when it does not match the template, instead of
+    /// panicking. The structure check runs once per call.
+    ///
+    /// # Errors
+    ///
+    /// Returns the same [`SpiceError::SingularMatrix`] the scalar sweep would.
+    pub fn sweep_replanning(
+        &mut self,
+        circuit: &LinearCircuit,
+        output: NodeId,
+        freqs: &[f64],
+    ) -> Result<FrequencyResponse, SpiceError> {
+        if !self.matches(circuit) {
+            *self = Self::new(circuit);
+        }
+        self.sweep_matched(circuit, output, freqs)
+    }
+
+    fn sweep_matched(
         &mut self,
         circuit: &LinearCircuit,
         output: NodeId,
@@ -897,6 +949,22 @@ mod tests {
         b.add_resistor(n1, 0, 1.0);
         let mut fac = FactorizedCircuit::new(&b);
         let _ = fac.sweep(&a, out, &[1.0]);
+    }
+
+    #[test]
+    fn replanning_sweep_rebuilds_on_a_new_structure() {
+        let (a, out) = amplifier(1e-3, 1e6, 1e-12);
+        let mut b = LinearCircuit::new();
+        let n1 = b.node();
+        b.add_resistor(n1, 0, 1.0);
+        let mut fac = FactorizedCircuit::new(&b);
+        let freqs = log_space(1.0, 1e9, 13);
+        let replanned = fac.sweep_replanning(&a, out, &freqs).unwrap();
+        assert!(fac.matches(&a));
+        let scalar = sweep(&a, out, &freqs).unwrap();
+        for (s, r) in scalar.values.iter().zip(&replanned.values) {
+            assert_eq!(bits(*s), bits(*r));
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! model is a faithful stand-in for the HSPICE/BSIM evaluations used in the
 //! paper as far as algorithmic behaviour is concerned.
 
+use crate::batch::LANES;
 use crate::error::SpiceError;
 
 /// Polarity of a MOSFET.
@@ -296,9 +297,9 @@ impl Mosfet {
     /// `self.operating_point(vgs, vds, vsb).id` but skipping the small-signal
     /// and capacitance computation.
     ///
-    /// This is the inner function of the [`Self::vgs_for_current`] bisection,
-    /// which only ever observes the current; `tests` pin the bit-identity
-    /// against [`Self::operating_point`] over a dense bias grid.
+    /// [`vgs_for_currents`] evaluates a hoisted replica of this function;
+    /// `tests` pin the bit-identity against [`Self::operating_point`] over a
+    /// dense bias grid, and the bisection against a reference built on it.
     pub fn drain_current(&self, vgs: f64, vds: f64, vsb: f64) -> f64 {
         let m = &self.model;
         let w_eff = self.w_eff();
@@ -326,70 +327,199 @@ impl Mosfet {
     /// Solves for the `|Vgs|` that produces the requested drain current in
     /// saturation at the given `|Vds|`, via bisection on the device equation.
     ///
-    /// This is the workhorse used by the analytic bias generators in the
-    /// `moheco-analog` crate: branch currents are set by current mirrors, and
-    /// each device's gate voltage follows from its current.
+    /// This is the one-request call of [`vgs_for_currents`]; use that to
+    /// solve several devices' bias points at once.
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::DcNoConvergence`] when the target current cannot
-    /// be reached within the gate-voltage search range (0 to 5 V overdrive).
+    /// Returns [`SpiceError::InvalidElement`] for a non-positive target and
+    /// [`SpiceError::DcNoConvergence`] when the target current cannot be
+    /// reached within the gate-voltage search range (0 to 5 V overdrive).
     pub fn vgs_for_current(&self, id_target: f64, vds: f64, vsb: f64) -> Result<f64, SpiceError> {
-        if id_target <= 0.0 {
-            return Err(SpiceError::InvalidElement {
-                reason: format!("target current must be positive, got {id_target}"),
-            });
+        let [vgs] = vgs_for_currents(&[BiasRequest {
+            device: self,
+            id_target,
+            vds,
+            vsb,
+        }]);
+        vgs
+    }
+}
+
+/// One bias request for [`vgs_for_currents`]: the `|Vgs|` that drives
+/// `id_target` through `device` at `(vds, vsb)`.
+#[derive(Debug, Clone, Copy)]
+pub struct BiasRequest<'a> {
+    /// The device to bias.
+    pub device: &'a Mosfet,
+    /// Drain current magnitude to reach (A).
+    pub id_target: f64,
+    /// Drain-source voltage magnitude (V).
+    pub vds: f64,
+    /// Source-bulk voltage magnitude (V).
+    pub vsb: f64,
+}
+
+/// Solves up to [`LANES`] independent bias requests at once: each lane runs
+/// the bisection of [`Mosfet::vgs_for_current`] on its own device.
+///
+/// This is the workhorse of the analytic bias generators in the
+/// `moheco-analog` crate: branch currents are set by current mirrors, so all
+/// of a circuit's gate voltages follow from currents known up front and can
+/// be solved together.
+///
+/// Lane `l` of the result is bit-identical to solving request `l` alone.
+/// Every quantity that does not depend on `vgs` is hoisted per lane with the
+/// exact expressions [`Mosfet::drain_current`] uses, the triode/saturation
+/// branch and the bisection step become per-lane selects (computing both
+/// sides changes no selected bit), the subthreshold `exp` runs only for
+/// lanes below threshold, and a lane freezes once its bracket is narrower
+/// than `1e-12` V. Lanes never exchange data, so a failing lane cannot
+/// disturb the others.
+///
+/// # Errors
+///
+/// Lane `l` holds [`SpiceError::InvalidElement`] when its target is not
+/// positive and [`SpiceError::DcNoConvergence`] when its target cannot be
+/// reached within the gate-voltage search range (0 to 5 V overdrive).
+pub fn vgs_for_currents<const N: usize>(
+    requests: &[BiasRequest<'_>; N],
+) -> [Result<f64, SpiceError>; N] {
+    const { assert!(N >= 1 && N <= LANES, "1..=LANES bias requests per call") };
+    let lanes = BiasLanes::new(requests);
+    let mut lo = [0.0; N];
+    let mut hi: [f64; N] = std::array::from_fn(|l| requests[l].device.model.vth0 + 5.0);
+    // The bracket check runs once per lane, on the scalar device equation
+    // the lane replica reproduces bit for bit.
+    let f_hi: [f64; N] = std::array::from_fn(|l| {
+        let r = &requests[l];
+        r.device.drain_current(hi[l], r.vds, r.vsb) - r.id_target
+    });
+    let mut live = [false; N];
+    for l in 0..N {
+        live[l] = !(lanes.target[l] <= 0.0 || f_hi[l] < 0.0);
+    }
+    for _ in 0..200 {
+        if !live.contains(&true) {
+            break;
         }
-        let mut lo = 0.0_f64;
-        let mut hi = self.model.vth0 + 5.0;
-        // Hoisted replica of [`Self::drain_current`]: every quantity that does
-        // not depend on `vgs` is computed once, with the exact expressions the
-        // per-call version uses, so each iteration sees bit-identical values
-        // while skipping the redundant sqrt/exp work (the bisection runs this
-        // ~40 times per bias point).
-        let m = &self.model;
-        let w_eff = self.w_eff();
-        let l_eff = self.l_eff();
-        let kp = m.kp();
-        let beta = kp * w_eff / l_eff;
-        let phi_f2 = 0.7;
-        let vth = m.vth0 + m.gamma * ((phi_f2 + vsb.max(0.0)).sqrt() - phi_f2.sqrt());
-        let lambda = self.lambda();
-        let n = m.subthreshold_n;
-        let nvt = n * VT_THERMAL;
-        let i0 = beta * n * VT_THERMAL * VT_THERMAL * 2.0;
-        let drain_factor = 1.0 - (-vds / VT_THERMAL).exp();
-        let clm = 1.0 + lambda * vds;
-        let f = |vgs: f64| {
-            let vov = vgs - vth;
-            let vdsat = vov.max(0.0);
-            let id = if vov <= 0.0 {
-                (i0 * (vov / nvt).exp() * drain_factor).max(0.0)
-            } else if vds < vdsat {
-                (beta * (vov * vds - 0.5 * vds * vds) * clm).max(0.0)
-            } else {
-                0.5 * beta * vov * vov * clm
-            };
-            id - id_target
-        };
-        if f(hi) < 0.0 {
-            return Err(SpiceError::DcNoConvergence {
+        let mut mid = [0.0; N];
+        for l in 0..N {
+            mid[l] = 0.5 * (lo[l] + hi[l]);
+        }
+        let above = lanes.above_target(&mid, &live);
+        // Non-short-circuit `&` keeps the update a pair of selects; `&&`
+        // lets the compiler turn it back into the data-dependent branch on
+        // `f(mid) > 0` that mispredicts about every other iteration.
+        for l in 0..N {
+            hi[l] = if live[l] & above[l] { mid[l] } else { hi[l] };
+            lo[l] = if live[l] & !above[l] { mid[l] } else { lo[l] };
+            // A NaN bracket never counts as converged, as in the scalar loop.
+            let converged = hi[l] - lo[l] < 1e-12;
+            live[l] &= !converged;
+        }
+    }
+    std::array::from_fn(|l| {
+        if lanes.target[l] <= 0.0 {
+            Err(SpiceError::InvalidElement {
+                reason: format!("target current must be positive, got {}", lanes.target[l]),
+            })
+        } else if f_hi[l] < 0.0 {
+            Err(SpiceError::DcNoConvergence {
                 iterations: 0,
-                residual: -f(hi),
-            });
+                residual: -f_hi[l],
+            })
+        } else {
+            Ok(0.5 * (lo[l] + hi[l]))
         }
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if f(mid) > 0.0 {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-            if hi - lo < 1e-12 {
-                break;
+    })
+}
+
+/// The per-lane constants of [`vgs_for_currents`]: everything in
+/// [`Mosfet::drain_current`] that does not depend on `vgs`, computed with
+/// the same expressions.
+struct BiasLanes<const N: usize> {
+    vth: [f64; N],
+    beta: [f64; N],
+    nvt: [f64; N],
+    i0: [f64; N],
+    drain_factor: [f64; N],
+    clm: [f64; N],
+    vds: [f64; N],
+    target: [f64; N],
+}
+
+impl<const N: usize> BiasLanes<N> {
+    fn new(requests: &[BiasRequest<'_>; N]) -> Self {
+        let mut c = Self {
+            vth: [0.0; N],
+            beta: [0.0; N],
+            nvt: [0.0; N],
+            i0: [0.0; N],
+            drain_factor: [0.0; N],
+            clm: [0.0; N],
+            vds: [0.0; N],
+            target: [0.0; N],
+        };
+        for (l, r) in requests.iter().enumerate() {
+            let d = r.device;
+            let m = &d.model;
+            let w_eff = d.w_eff();
+            let l_eff = d.l_eff();
+            let kp = m.kp();
+            c.beta[l] = kp * w_eff / l_eff;
+            let phi_f2 = 0.7;
+            c.vth[l] = m.vth0 + m.gamma * ((phi_f2 + r.vsb.max(0.0)).sqrt() - phi_f2.sqrt());
+            let lambda = d.lambda();
+            let n = m.subthreshold_n;
+            c.nvt[l] = n * VT_THERMAL;
+            c.i0[l] = c.beta[l] * n * VT_THERMAL * VT_THERMAL * 2.0;
+            c.drain_factor[l] = 1.0 - (-r.vds / VT_THERMAL).exp();
+            c.clm[l] = 1.0 + lambda * r.vds;
+            c.vds[l] = r.vds;
+            c.target[l] = r.id_target;
+        }
+        c
+    }
+
+    /// `drain_current(vgs) - id_target > 0` per lane. The saturation current
+    /// is computed for every lane and replaced by select where a lane is in
+    /// triode; the triode pass and the subthreshold `exp` only run when
+    /// some lane needs them, and the `exp` only for the lanes in `live`
+    /// (the others' verdicts are never read).
+    #[inline(always)]
+    fn above_target(&self, vgs: &[f64; N], live: &[bool; N]) -> [bool; N] {
+        let mut vov = [0.0; N];
+        let mut id = [0.0; N];
+        let mut any_triode = false;
+        let mut any_subthreshold = false;
+        for l in 0..N {
+            vov[l] = vgs[l] - self.vth[l];
+            id[l] = 0.5 * self.beta[l] * vov[l] * vov[l] * self.clm[l];
+            any_triode |= self.vds[l] < vov[l].max(0.0);
+            any_subthreshold |= vov[l] <= 0.0;
+        }
+        if any_triode {
+            for l in 0..N {
+                let vds = self.vds[l];
+                let triode =
+                    (self.beta[l] * (vov[l] * vds - 0.5 * vds * vds) * self.clm[l]).max(0.0);
+                id[l] = if vds < vov[l].max(0.0) { triode } else { id[l] };
             }
         }
-        Ok(0.5 * (lo + hi))
+        if any_subthreshold {
+            for l in 0..N {
+                if live[l] && vov[l] <= 0.0 {
+                    id[l] =
+                        (self.i0[l] * (vov[l] / self.nvt[l]).exp() * self.drain_factor[l]).max(0.0);
+                }
+            }
+        }
+        let mut above = [false; N];
+        for l in 0..N {
+            above[l] = id[l] - self.target[l] > 0.0;
+        }
+        above
     }
 }
 

@@ -8,11 +8,19 @@
 //! contract is exercised over arbitrary stamp patterns, element mixes, lane
 //! tails (sweep lengths that are not a multiple of the SIMD width) and
 //! factorization reuse across value-perturbed clones.
+//!
+//! The same holds for the lane-parallel bias solve: every lane of
+//! [`vgs_for_currents`] must equal a scalar reference bisection bit for bit,
+//! whatever the other lanes of its group do.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spicelite::ac::{log_space, sweep};
-use spicelite::{CMatrix, Complex, FactorizedCircuit, LinearCircuit, NodeId, SpiceError};
+use spicelite::mosfet::{vgs_for_currents, BiasRequest};
+use spicelite::{
+    model_035um, model_90nm, CMatrix, Complex, FactorizedCircuit, LinearCircuit, MosGeometry,
+    MosType, Mosfet, NodeId, Region, SpiceError,
+};
 
 /// The elements of a generated circuit, recorded in insertion order so the
 /// oracle test can re-stamp the MNA system without access to the netlist's
@@ -291,4 +299,229 @@ fn batched_sweep_is_pinned_to_the_scalar_complex_solver() {
             );
         }
     }
+}
+
+/// Reference bisection over the full operating-point model, written out
+/// independently of the lane kernel. Returns the solution and the number of
+/// bisection steps it took.
+fn reference_vgs(
+    d: &Mosfet,
+    id_target: f64,
+    vds: f64,
+    vsb: f64,
+) -> (Result<f64, SpiceError>, usize) {
+    if id_target <= 0.0 {
+        return (
+            Err(SpiceError::InvalidElement {
+                reason: format!("target current must be positive, got {id_target}"),
+            }),
+            0,
+        );
+    }
+    let f = |vgs: f64| d.operating_point(vgs, vds, vsb).id - id_target;
+    let mut lo = 0.0_f64;
+    let mut hi = d.model.vth0 + 5.0;
+    if f(hi) < 0.0 {
+        return (
+            Err(SpiceError::DcNoConvergence {
+                iterations: 0,
+                residual: -f(hi),
+            }),
+            0,
+        );
+    }
+    let mut steps = 0;
+    for _ in 0..200 {
+        steps += 1;
+        let mid = 0.5 * (lo + hi);
+        if f(mid) > 0.0 {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+        if hi - lo < 1e-12 {
+            break;
+        }
+    }
+    (Ok(0.5 * (lo + hi)), steps)
+}
+
+/// Runs one group of 1..=8 requests through the lane kernel.
+fn solve_group(requests: &[BiasRequest<'_>]) -> Vec<Result<f64, SpiceError>> {
+    fn call<const N: usize>(r: &[BiasRequest<'_>]) -> Vec<Result<f64, SpiceError>> {
+        vgs_for_currents::<N>(r.try_into().expect("group size")).into()
+    }
+    match requests.len() {
+        1 => call::<1>(requests),
+        2 => call::<2>(requests),
+        3 => call::<3>(requests),
+        4 => call::<4>(requests),
+        5 => call::<5>(requests),
+        6 => call::<6>(requests),
+        7 => call::<7>(requests),
+        8 => call::<8>(requests),
+        n => panic!("no lane group of {n} requests"),
+    }
+}
+
+/// Where a generated request's root lies, or how it fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Case {
+    Saturation,
+    Triode,
+    Subthreshold,
+    NonPositive,
+    Unreachable,
+    NonFinite,
+    /// `vth0 = 5` at `vsb = 0`: the first midpoint of the `[0, vth0 + 5]`
+    /// bracket sits exactly at threshold and the next ones at dyadic
+    /// overdrives, so region boundaries are hit with exact equality.
+    Boundary,
+}
+
+const CASES: [Case; 7] = [
+    Case::Saturation,
+    Case::Triode,
+    Case::Subthreshold,
+    Case::NonPositive,
+    Case::Unreachable,
+    Case::NonFinite,
+    Case::Boundary,
+];
+
+/// A random device and a request of the given case for it.
+fn random_request(rng: &mut StdRng, case: Case) -> (Mosfet, f64, f64, f64) {
+    let polarity = if rng.gen::<bool>() {
+        MosType::Nmos
+    } else {
+        MosType::Pmos
+    };
+    let card = if rng.gen::<bool>() {
+        model_035um(polarity)
+    } else {
+        model_90nm(polarity)
+    };
+    let mut model = card.perturbed(
+        rng.gen_range(-0.3e-9..0.3e-9),
+        rng.gen_range(-0.05..0.05),
+        rng.gen_range(-5e-9..5e-9),
+        rng.gen_range(-5e-9..5e-9),
+        rng.gen_range(-0.1..0.1),
+        0.0,
+        0.0,
+    );
+    // Thresholds far apart give brackets of different widths, so lanes of
+    // one group converge on different bisection steps.
+    if rng.gen_range(0..4) == 0 {
+        model.vth0 += rng.gen_range(1.0..200.0);
+    }
+    let geometry = MosGeometry::new(
+        rng.gen_range(1e-6..200e-6),
+        rng.gen_range(0.1e-6..2e-6),
+        f64::from(rng.gen_range(1..4u32)),
+    )
+    .unwrap();
+    let d = Mosfet::new(model, geometry);
+    let vsb = if rng.gen::<bool>() {
+        0.0
+    } else {
+        rng.gen_range(-0.2..1.0)
+    };
+    let mut vds = rng.gen_range(0.05..2.0);
+    let id_target = match case {
+        // A current reached at a gate overdrive of 0.05..1 V.
+        Case::Saturation => d.drain_current(d.model.vth0 + rng.gen_range(0.05..1.0), vds, vsb),
+        Case::Triode => {
+            vds = rng.gen_range(0.005..0.05);
+            d.drain_current(d.model.vth0 + rng.gen_range(0.2..1.0), vds, vsb)
+        }
+        Case::Subthreshold => d.drain_current(d.model.vth0 - rng.gen_range(0.05..0.3), vds, vsb),
+        Case::NonPositive => -rng.gen_range(0.0..1e-3) * f64::from(rng.gen_range(0..2u32)),
+        Case::Unreachable => rng.gen_range(1e3..1e6),
+        Case::Boundary => {
+            let mut on_grid = d;
+            on_grid.model.vth0 = 5.0;
+            vds = [2.5, 1.25, 0.625][rng.gen_range(0..3)];
+            let vgs = 5.0 + vds * [-0.1, 0.0, 1.0, 1.5][rng.gen_range(0..4)];
+            let id_target = on_grid.drain_current(vgs, vds, 0.0);
+            return (on_grid, id_target, vds, 0.0);
+        }
+        Case::NonFinite => {
+            let weird = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            let w = weird[rng.gen_range(0..weird.len())];
+            match rng.gen_range(0..4) {
+                0 => return (d, w, vds, vsb),
+                1 => vds = w,
+                2 => return (d, 1e-4, vds, w),
+                _ => {
+                    let mut odd = d;
+                    odd.model.vth0 = w;
+                    return (odd, 1e-4, vds, vsb);
+                }
+            }
+            1e-4
+        }
+    };
+    (d, id_target, vds, vsb)
+}
+
+#[test]
+fn lane_bias_solve_matches_the_scalar_reference_bisection() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_b1a5);
+    // Roots in saturation, triode and subthreshold; non-positive and
+    // unreachable targets.
+    let mut seen = [0usize; 5];
+    let mut non_finite = 0;
+    let mut mixed_step_groups = 0;
+    for group in 0..600 {
+        let size = 1 + group % 8;
+        let cases: Vec<Case> = (0..size)
+            .map(|_| CASES[rng.gen_range(0..CASES.len())])
+            .collect();
+        let reqs: Vec<(Mosfet, f64, f64, f64)> =
+            cases.iter().map(|&c| random_request(&mut rng, c)).collect();
+        let requests: Vec<BiasRequest<'_>> = reqs
+            .iter()
+            .map(|(device, id_target, vds, vsb)| BiasRequest {
+                device,
+                id_target: *id_target,
+                vds: *vds,
+                vsb: *vsb,
+            })
+            .collect();
+        let lanes = solve_group(&requests);
+        let mut steps = Vec::new();
+        for (l, (r, got)) in requests.iter().zip(&lanes).enumerate() {
+            let (want, n) = reference_vgs(r.device, r.id_target, r.vds, r.vsb);
+            steps.push(n);
+            let ctx = format!("group {group} lane {l}/{size} ({:?}): {r:?}", cases[l]);
+            match (got, &want) {
+                (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: {a} vs {b}"),
+                (Err(a), Err(b)) => assert_eq!(a, b, "{ctx}"),
+                (a, b) => panic!("{ctx}: lanes {a:?} vs reference {b:?}"),
+            }
+            // Tally what the reference actually hit: the root's region, or
+            // the error kind.
+            let outcome = match want {
+                Ok(v) => match r.device.operating_point(v, r.vds, r.vsb).region {
+                    Region::Saturation => 0,
+                    Region::Triode => 1,
+                    Region::Cutoff => 2,
+                },
+                Err(SpiceError::InvalidElement { .. }) => 3,
+                Err(_) => 4,
+            };
+            seen[outcome] += 1;
+            non_finite += usize::from(cases[l] == Case::NonFinite);
+        }
+        mixed_step_groups += usize::from(steps.iter().any(|&n| n != steps[0]));
+    }
+    assert!(
+        seen.iter().all(|&k| k > 20) && non_finite > 20,
+        "every case must be exercised: {seen:?}, {non_finite} non-finite"
+    );
+    assert!(
+        mixed_step_groups > 50,
+        "groups whose lanes finish on different steps: {mixed_step_groups}"
+    );
 }
