@@ -4,23 +4,18 @@
 //! moheco-run [--scenario <name>|all] [--algo de|ga|memetic|two-stage]
 //!            [--budget tiny|small|paper] [--estimator mc|lhs|antithetic|is]
 //!            [--prescreen off|rsb] [--seed N] [--parallel] [--out-dir DIR]
-//!            [--baseline-dir DIR] [--obs off|jsonl:FILE] [--list]
+//!            [--obs off|jsonl:FILE] [--list]
 //! ```
 //!
 //! Every selected scenario is executed through the evaluation engine and
 //! written as one machine-readable `RESULTS_<scenario>.json` record in a
-//! stable schema (see `moheco-bench/src/results.rs` and `DESIGN.md`). With
-//! `--baseline-dir`, each fresh result is gated against a *per-run*
-//! baseline record of the same scenario: the binary prints a one-line trend
-//! summary per scenario and exits non-zero on schema drift, on a missing
-//! baseline, or on a yield deviation beyond ±5 percentage points.
+//! stable schema (see `moheco-bench/src/results.rs` and `DESIGN.md`), with a
+//! one-line summary per scenario on stdout.
 //!
-//! Note the committed `baselines/` directory holds **multi-seed aggregate**
-//! records since schema v4; the CI gate runs through `moheco-campaign`
-//! (aggregate medians over 3 seeds), while a single-seed `moheco-run`
-//! invocation stays in CI as the cheap ungated smoke path. Point
-//! `--baseline-dir` only at directories of per-run records you generated
-//! with this binary.
+//! A single run gates nothing: the committed `baselines/` hold **multi-seed
+//! aggregate** records, and the CI baseline gate is `moheco-campaign
+//! --baseline-dir` (cross-seed medians over 3 seeds). A single-seed
+//! `moheco-run` invocation stays in CI as the cheap smoke path.
 //!
 //! With `--obs jsonl:FILE`, every selected scenario runs under a span
 //! tracer: the full phase event stream (plus one `run_summary` record per
@@ -30,7 +25,6 @@
 //! bit-identical with observability on or off.
 
 use moheco::PrescreenKind;
-use moheco_bench::results::compare_results;
 use moheco_bench::{Algo, BudgetClass, CliArgs, RunSpec};
 use moheco_obs::{JsonlCollector, Tracer};
 use moheco_sampling::EstimatorKind;
@@ -41,7 +35,7 @@ use std::sync::Arc;
 
 const USAGE: &str = "usage: moheco-run [--scenario <name>|all] [--algo de|ga|memetic|two-stage] \
 [--budget tiny|small|paper] [--estimator mc|lhs|antithetic|is] [--prescreen off|rsb] [--seed N] \
-[--parallel] [--out-dir DIR] [--baseline-dir DIR] [--obs off|jsonl:FILE] [--list]";
+[--parallel] [--out-dir DIR] [--obs off|jsonl:FILE] [--list]";
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("error: {message}");
@@ -61,7 +55,6 @@ fn main() -> ExitCode {
             "--prescreen",
             "--seed",
             "--out-dir",
-            "--baseline-dir",
             "--obs",
         ],
     ) {
@@ -142,10 +135,6 @@ fn main() -> ExitCode {
         Err(e) => return fail(&e),
         Ok(v) => v.unwrap_or(".").to_string(),
     };
-    let baseline_dir = match args.value_of("--baseline-dir") {
-        Err(e) => return fail(&e),
-        Ok(v) => v.map(str::to_string),
-    };
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         return fail(&format!("cannot create out dir {out_dir:?}: {e}"));
     }
@@ -170,7 +159,6 @@ fn main() -> ExitCode {
     };
 
     let engine_kind = args.engine_kind();
-    let mut failures: Vec<String> = Vec::new();
     eprintln!(
         "moheco-run: {} scenario(s), algo {}, budget {}, estimator {}, prescreen {}, seed {seed}, {} engine",
         scenarios.len(),
@@ -201,75 +189,27 @@ fn main() -> ExitCode {
             .prescreen(prescreen)
             .tracer(&tracer)
             .execute();
-        let json = result.to_json();
         let path = Path::new(&out_dir).join(result.file_name());
-        if let Err(e) = std::fs::write(&path, &json) {
+        if let Err(e) = std::fs::write(&path, result.to_json()) {
             eprintln!("error: cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
 
-        match &baseline_dir {
-            None => {
-                println!(
-                    "{}: yield {:.4} ±{:.4}{} sims {} cache {:.0}% gens {} ({:.0} ms) -> {}",
-                    result.scenario,
-                    result.best_yield,
-                    result.ci_half_width,
-                    result
-                        .true_yield
-                        .map(|t| format!(" (truth {t:.4})"))
-                        .unwrap_or_default(),
-                    result.simulations,
-                    100.0 * result.engine_stats.hit_rate(),
-                    result.generations,
-                    result.wall_time_ms,
-                    path.display()
-                );
-            }
-            Some(dir) => {
-                let baseline_path = Path::new(dir).join(result.file_name());
-                match std::fs::read_to_string(&baseline_path) {
-                    Err(e) => {
-                        let msg = format!(
-                            "{}: missing baseline {} ({e}); run `moheco-run --scenario {} --algo {} --budget {} --seed {seed}{} --out-dir {dir}` and commit it",
-                            result.scenario,
-                            baseline_path.display(),
-                            result.scenario,
-                            algo.label(),
-                            budget.label(),
-                            if engine_kind == moheco_bench::EngineKind::Parallel {
-                                " --parallel"
-                            } else {
-                                ""
-                            }
-                        );
-                        println!("{msg}");
-                        failures.push(msg);
-                    }
-                    Ok(baseline) => {
-                        let cmp = compare_results(&baseline, &json);
-                        println!("{}", cmp.summary);
-                        for f in &cmp.failures {
-                            let msg = format!("{}: {f}", cmp.scenario);
-                            eprintln!("  FAIL {f}");
-                            failures.push(msg);
-                        }
-                    }
-                }
-            }
-        }
+        println!(
+            "{}: yield {:.4} ±{:.4}{} sims {} cache {:.0}% gens {} ({:.0} ms) -> {}",
+            result.scenario,
+            result.best_yield,
+            result.ci_half_width,
+            result
+                .true_yield
+                .map(|t| format!(" (truth {t:.4})"))
+                .unwrap_or_default(),
+            result.simulations,
+            100.0 * result.engine_stats.hit_rate(),
+            result.generations,
+            result.wall_time_ms,
+            path.display()
+        );
     }
-
-    if failures.is_empty() {
-        if baseline_dir.is_some() {
-            println!(
-                "baseline gate: all {} scenario(s) within tolerance",
-                scenarios.len()
-            );
-        }
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("baseline gate: {} failure(s)", failures.len());
-        ExitCode::FAILURE
-    }
+    ExitCode::SUCCESS
 }

@@ -57,26 +57,30 @@ impl CliArgs {
     }
 
     /// Validates that every argument is either one of `boolean_flags`, one
-    /// of `valued_flags`, or the value of a valued flag.
+    /// of `valued_flags`, or the value of a valued flag, and that no flag is
+    /// given twice ([`Self::value_of`] would silently read the first).
     ///
     /// # Errors
     ///
-    /// Returns the first unrecognized argument.
+    /// Returns the first unrecognized argument or repeated flag.
     pub fn expect_only(&self, boolean_flags: &[&str], valued_flags: &[&str]) -> Result<(), String> {
+        let mut seen: Vec<&str> = Vec::new();
         let mut skip_value = false;
         for a in &self.args {
             if skip_value {
                 skip_value = false;
                 continue;
             }
-            if boolean_flags.contains(&a.as_str()) {
-                continue;
+            let a = a.as_str();
+            let valued = valued_flags.contains(&a);
+            if !valued && !boolean_flags.contains(&a) {
+                return Err(format!("unrecognized argument {a:?}"));
             }
-            if valued_flags.contains(&a.as_str()) {
-                skip_value = true;
-                continue;
+            if seen.contains(&a) {
+                return Err(format!("flag {a} given more than once"));
             }
-            return Err(format!("unrecognized argument {a:?}"));
+            seen.push(a);
+            skip_value = valued;
         }
         Ok(())
     }
@@ -149,6 +153,13 @@ mod tests {
         assert!(a.expect_only(&["--paper"], &[]).is_err());
         let b = args(&["--seed", "7", "--parallel"]);
         assert!(b.expect_only(&["--parallel"], &["--seed"]).is_ok());
+        // A repeated flag is an error naming it, not a silent first-wins.
+        let c = args(&["--seed", "1", "--seed", "2"]);
+        let err = c.expect_only(&[], &["--seed"]).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
+        let d = args(&["--parallel", "--seed", "1", "--parallel"]);
+        let err = d.expect_only(&["--parallel"], &["--seed"]).unwrap_err();
+        assert!(err.contains("--parallel"), "{err}");
     }
 
     #[test]

@@ -1,26 +1,30 @@
-//! The machine-readable result schema of `moheco-run` and the CI baseline
-//! gate built on it.
+//! The machine-readable result schema of `moheco-run` / `moheco-campaign`
+//! and the CI baseline gate built on it.
 //!
 //! One run of one scenario produces one [`ScenarioResult`], serialized as a
-//! flat JSON object with a stable key order (`RESULTS_<scenario>.json`). The
-//! engine counters are embedded under an `engine_` prefix straight from
+//! flat JSON object with a stable key order (`RESULTS_<scenario>.json`), or as
+//! one deterministic JSONL row of a campaign ([`ScenarioResult::to_jsonl_row`]).
+//! The engine counters are embedded under an `engine_` prefix straight from
 //! [`EngineStatsSnapshot::counter_fields`], so the runtime instrumentation
 //! and the result schema cannot drift apart silently.
 //!
-//! CI commits one baseline file per scenario under `baselines/` and re-runs
-//! the harness on every push; [`compare_results`] fails the build on
+//! The committed `baselines/` hold one multi-seed [`AggregateResult`] per
+//! (scenario, algo), folded from the campaign's per-seed rows by
+//! [`aggregate_rows`]. CI re-runs the 3-seed campaign on every push, and
+//! [`compare_aggregates`] (through `moheco-campaign --baseline-dir`) fails the
+//! build on
 //!
-//! * **schema drift** — the key set of the fresh result differs from the
+//! * **schema drift** — the key set of the fresh aggregate differs from the
 //!   baseline's (a new field means the baselines must be regenerated
 //!   deliberately, in the same PR), or an identity field (scenario, algo,
-//!   budget, seed, engine) changed;
-//! * **yield deviation** — the reported yield moved by more than
+//!   budget, engine, estimator, prescreen, seed set) changed;
+//! * **yield deviation** — the cross-seed *median* yield moved by more than
 //!   [`YIELD_TOLERANCE`] (5 percentage points) from the committed value.
 //!
-//! Timing fields (`wall_time_ms`, `engine_busy_nanos`) and the simulation
-//! counters are *reported* in the one-line trend summary but never gated:
-//! they vary across hosts, while the gated fields are deterministic in
-//! `(scenario, algo, budget, seed)` up to libm rounding.
+//! Timing fields (`wall_time_ms`, `engine_busy_nanos`) never enter a JSONL row
+//! or an aggregate, and the simulation counters are *reported* in the
+//! one-line trend summary but never gated: the gated fields are deterministic
+//! in `(scenario, algo, budget, seeds)` up to libm rounding.
 //!
 //! No serialization crates exist in this build environment, so the module
 //! carries its own minimal JSON writer and parser.
@@ -51,8 +55,9 @@ use std::fmt::Write as _;
 /// `--obs jsonl:` event file read by `moheco-profile`).
 pub const SCHEMA_VERSION: u64 = 5;
 
-/// Maximum allowed absolute deviation of `best_yield` from the committed
-/// baseline (5 percentage points, per the CI gating policy).
+/// Maximum allowed absolute deviation of the cross-seed median `best_yield`
+/// from the committed baseline (5 percentage points, per the CI gating
+/// policy).
 pub const YIELD_TOLERANCE: f64 = 0.05;
 
 /// The result record of one `moheco-run` scenario execution.
@@ -356,7 +361,7 @@ pub fn parse_flat_json(text: &str) -> Result<JsonRecord, String> {
     Ok(record)
 }
 
-/// Outcome of gating one fresh result against its committed baseline.
+/// Outcome of gating one fresh aggregate against its committed baseline.
 #[derive(Debug, Clone)]
 pub struct BaselineComparison {
     /// Scenario under comparison.
@@ -371,101 +376,6 @@ impl BaselineComparison {
     /// Whether the gate passes.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
-    }
-}
-
-/// Fields that must match the baseline exactly (run identity; the schema
-/// version is included so a version bump always forces a deliberate
-/// baseline regeneration, even when the key set happens not to change).
-const IDENTITY_FIELDS: [&str; 8] = [
-    "schema_version",
-    "scenario",
-    "algo",
-    "budget",
-    "engine",
-    "estimator",
-    "prescreen",
-    "seed",
-];
-
-/// Gates a fresh result (as JSON text) against its committed baseline.
-pub fn compare_results(baseline_text: &str, current_text: &str) -> BaselineComparison {
-    let mut failures = Vec::new();
-    let (baseline, current) = match (
-        parse_flat_json(baseline_text),
-        parse_flat_json(current_text),
-    ) {
-        (Ok(b), Ok(c)) => (b, c),
-        (b, c) => {
-            if let Err(e) = b {
-                failures.push(format!("baseline unparsable: {e}"));
-            }
-            if let Err(e) = c {
-                failures.push(format!("result unparsable: {e}"));
-            }
-            return BaselineComparison {
-                scenario: "?".into(),
-                failures,
-                summary: "unparsable result".into(),
-            };
-        }
-    };
-    let scenario = current.str("scenario").unwrap_or("?").to_string();
-
-    // Schema drift: key sets must be identical (order included — the writer
-    // is deterministic, so an order change is also a deliberate change).
-    if baseline.keys != current.keys {
-        let missing: Vec<&String> = baseline
-            .keys
-            .iter()
-            .filter(|k| !current.keys.contains(k))
-            .collect();
-        let extra: Vec<&String> = current
-            .keys
-            .iter()
-            .filter(|k| !baseline.keys.contains(k))
-            .collect();
-        failures.push(format!(
-            "schema drift: missing keys {missing:?}, new keys {extra:?} (regenerate baselines/ deliberately if intended)"
-        ));
-    }
-
-    for field in IDENTITY_FIELDS {
-        if baseline.values.get(field) != current.values.get(field) {
-            failures.push(format!(
-                "identity field {field:?} changed: baseline {:?}, current {:?}",
-                baseline.values.get(field),
-                current.values.get(field)
-            ));
-        }
-    }
-
-    let b_yield = baseline.num("best_yield").unwrap_or(f64::NAN);
-    let c_yield = current.num("best_yield").unwrap_or(f64::NAN);
-    let dy = c_yield - b_yield;
-    // NaN (a missing/unparsable yield field) must fail the gate too.
-    if dy.is_nan() || dy.abs() > YIELD_TOLERANCE {
-        failures.push(format!(
-            "yield deviation {:.3} exceeds the ±{YIELD_TOLERANCE} gate (baseline {b_yield:.4}, current {c_yield:.4})",
-            dy
-        ));
-    }
-
-    let b_sims = baseline.num("simulations").unwrap_or(f64::NAN);
-    let c_sims = current.num("simulations").unwrap_or(f64::NAN);
-    let sims_trend = if b_sims > 0.0 {
-        format!("{:+.1}%", 100.0 * (c_sims - b_sims) / b_sims)
-    } else {
-        "n/a".to_string()
-    };
-    let summary = format!(
-        "{scenario}: yield {c_yield:.4} (baseline {b_yield:.4}, {dy:+.4}) sims {c_sims:.0} (baseline {b_sims:.0}, {sims_trend}) {}",
-        if failures.is_empty() { "OK" } else { "FAIL" }
-    );
-    BaselineComparison {
-        scenario,
-        failures,
-        summary,
     }
 }
 
@@ -679,8 +589,10 @@ pub fn aggregate_rows(rows: &[JsonRecord]) -> Result<Vec<AggregateResult>, Strin
     Ok(aggregates)
 }
 
-/// Identity fields of an aggregate baseline (the per-run `seed` is replaced
-/// by the `seeds` set).
+/// Fields that must match the baseline exactly: the run identity, with the
+/// per-run `seed` replaced by the `seeds` set, plus the schema version so a
+/// version bump always forces a deliberate baseline regeneration, even when
+/// the key set happens not to change.
 const AGGREGATE_IDENTITY_FIELDS: [&str; 8] = [
     "schema_version",
     "scenario",
@@ -693,9 +605,9 @@ const AGGREGATE_IDENTITY_FIELDS: [&str; 8] = [
 ];
 
 /// Gates a fresh multi-seed aggregate (as JSON text) against its committed
-/// baseline: schema drift and identity changes fail exactly like the
-/// per-run gate, and the yield criterion compares the cross-seed *medians*
-/// within [`YIELD_TOLERANCE`]. The one-line summary reports the measured
+/// baseline: a changed key set (schema drift) or identity field fails, and
+/// the yield criterion compares the cross-seed *medians* within
+/// [`YIELD_TOLERANCE`]. The one-line summary reports the measured
 /// cross-seed std alongside, so the tolerance is visibly justified (or not)
 /// by the actual run-to-run noise.
 pub fn compare_aggregates(baseline_text: &str, current_text: &str) -> BaselineComparison {
@@ -721,6 +633,8 @@ pub fn compare_aggregates(baseline_text: &str, current_text: &str) -> BaselineCo
     };
     let scenario = current.str("scenario").unwrap_or("?").to_string();
 
+    // Schema drift: key sets must be identical (order included — the writer
+    // is deterministic, so an order change is also a deliberate change).
     if baseline.keys != current.keys {
         let missing: Vec<&String> = baseline
             .keys
@@ -749,6 +663,7 @@ pub fn compare_aggregates(baseline_text: &str, current_text: &str) -> BaselineCo
     let b_median = baseline.num("best_yield_median").unwrap_or(f64::NAN);
     let c_median = current.num("best_yield_median").unwrap_or(f64::NAN);
     let dy = c_median - b_median;
+    // NaN (a missing/unparsable median field) must fail the gate too.
     if dy.is_nan() || dy.abs() > YIELD_TOLERANCE {
         failures.push(format!(
             "median yield deviation {dy:.3} exceeds the ±{YIELD_TOLERANCE} gate (baseline {b_median:.4}, current {c_median:.4})"
@@ -859,63 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn identical_results_pass_the_gate() {
-        let json = sample_result().to_json();
-        let cmp = compare_results(&json, &json);
-        assert!(cmp.passed(), "{:?}", cmp.failures);
-        assert!(cmp.summary.contains("OK"));
-        assert_eq!(cmp.scenario, "margin_wall");
-    }
-
-    #[test]
-    fn small_yield_drift_passes_large_fails() {
-        let baseline = sample_result();
-        let mut near = baseline.clone();
-        near.best_yield += 0.03;
-        let cmp = compare_results(&baseline.to_json(), &near.to_json());
-        assert!(cmp.passed(), "{:?}", cmp.failures);
-
-        let mut far = baseline.clone();
-        far.best_yield += 0.08;
-        let cmp = compare_results(&baseline.to_json(), &far.to_json());
-        assert!(!cmp.passed());
-        assert!(cmp.failures[0].contains("yield deviation"));
-    }
-
-    #[test]
-    fn schema_drift_fails_the_gate() {
-        let baseline = sample_result().to_json();
-        let current = baseline.replace("\"generations\": 8,\n", "");
-        let cmp = compare_results(&baseline, &current);
-        assert!(!cmp.passed());
-        assert!(cmp.failures.iter().any(|f| f.contains("schema drift")));
-    }
-
-    #[test]
-    fn identity_change_fails_the_gate() {
-        let baseline = sample_result();
-        let mut other = sample_result();
-        other.seed = 2;
-        let cmp = compare_results(&baseline.to_json(), &other.to_json());
-        assert!(!cmp.passed());
-        assert!(cmp.failures.iter().any(|f| f.contains("seed")));
-        // The estimator is part of the run identity: an lhs result can never
-        // silently replace an mc baseline.
-        let mut lhs = sample_result();
-        lhs.estimator = "lhs".into();
-        let cmp = compare_results(&baseline.to_json(), &lhs.to_json());
-        assert!(!cmp.passed());
-        assert!(cmp.failures.iter().any(|f| f.contains("estimator")));
-        // The prescreen is part of the run identity too: a prescreened
-        // result can never silently replace an unscreened baseline.
-        let mut rsb = sample_result();
-        rsb.prescreen = "rsb".into();
-        let cmp = compare_results(&baseline.to_json(), &rsb.to_json());
-        assert!(!cmp.passed());
-        assert!(cmp.failures.iter().any(|f| f.contains("prescreen")));
-    }
-
-    #[test]
     fn digest_is_deterministic_and_sensitive() {
         let a = trace_digest([0.1, 0.2, 0.3]);
         let b = trace_digest([0.1, 0.2, 0.3]);
@@ -1002,6 +860,36 @@ mod tests {
     #[test]
     fn aggregate_gate_compares_medians_within_tolerance() {
         let baseline = aggregate_rows(&sample_rows()).unwrap().remove(0);
+        // An identical record passes.
+        let json = baseline.to_json();
+        let cmp = compare_aggregates(&json, &json);
+        assert!(cmp.passed(), "{:?}", cmp.failures);
+        assert!(cmp.summary.ends_with("OK"), "{}", cmp.summary);
+        assert_eq!(cmp.scenario, "margin_wall");
+        // A dropped field is schema drift, even with every value unchanged.
+        let line = json
+            .lines()
+            .find(|l| l.contains("\"generations_mean\""))
+            .expect("aggregate carries generations_mean");
+        let drifted = json.replace(&format!("{line}\n"), "");
+        assert_ne!(drifted, json);
+        let cmp = compare_aggregates(&json, &drifted);
+        assert!(!cmp.passed());
+        assert!(cmp.failures.iter().any(|f| f.contains("schema drift")));
+        assert!(cmp.summary.ends_with("FAIL"), "{}", cmp.summary);
+        // The estimator and the prescreen are part of the identity: an lhs or
+        // prescreened aggregate can never silently replace an mc / unscreened
+        // baseline.
+        let mut lhs = baseline.clone();
+        lhs.estimator = "lhs".into();
+        let cmp = compare_aggregates(&json, &lhs.to_json());
+        assert!(!cmp.passed());
+        assert!(cmp.failures.iter().any(|f| f.contains("\"estimator\"")));
+        let mut rsb = baseline.clone();
+        rsb.prescreen = "rsb".into();
+        let cmp = compare_aggregates(&json, &rsb.to_json());
+        assert!(!cmp.passed());
+        assert!(cmp.failures.iter().any(|f| f.contains("\"prescreen\"")));
         // Small median drift passes; the mean may move freely.
         let mut near = baseline.clone();
         near.best_yield.median += 0.03;

@@ -160,38 +160,21 @@ impl DifferentialEvolution {
         problem: &mut P,
         rng: &mut R,
     ) -> OptimizationResult {
-        self.run_filtered(problem, &mut AdmitAll, rng)
+        self.run_traced_filtered(problem, &mut AdmitAll, &Tracer::disabled(), rng)
     }
 
-    /// [`Self::run`] with a [`TrialFilter`] gating each generation's trial
-    /// vectors: rejected trials are discarded unevaluated and their parents
-    /// keep their slots. Under [`AdmitAll`] this is bit-identical to
-    /// [`Self::run`] (the filter never touches the RNG stream).
-    pub fn run_filtered<P: Problem + ?Sized, T: TrialFilter + ?Sized, R: Rng + ?Sized>(
-        &self,
-        problem: &mut P,
-        filter: &mut T,
-        rng: &mut R,
-    ) -> OptimizationResult {
-        self.run_traced_filtered(problem, filter, &Tracer::disabled(), rng)
-    }
-
-    /// [`Self::run`] under an observability [`Tracer`]: the whole run becomes
-    /// a `"de"` span with one `"generation"` child span per generation, so a
-    /// probe-equipped tracer attributes every evaluation to the generation
-    /// that spent it. With [`Tracer::disabled`] (what [`Self::run`] passes)
-    /// the spans are inert and the run is bit-identical to [`Self::run`].
-    pub fn run_traced<P: Problem + ?Sized, R: Rng + ?Sized>(
-        &self,
-        problem: &mut P,
-        tracer: &Tracer,
-        rng: &mut R,
-    ) -> OptimizationResult {
-        self.run_traced_filtered(problem, &mut AdmitAll, tracer, rng)
-    }
-
-    /// The fully general entry point: [`Self::run_filtered`] plus the span
-    /// instrumentation of [`Self::run_traced`].
+    /// Runs the optimizer on `problem` under a [`TrialFilter`] and an
+    /// observability [`Tracer`].
+    ///
+    /// The filter gates each generation's trial vectors: rejected trials are
+    /// discarded unevaluated and their parents keep their slots. Under
+    /// [`AdmitAll`] the run is bit-identical to [`Self::run`] (the filter
+    /// never touches the RNG stream).
+    ///
+    /// The whole run becomes a `"de"` span with one `"generation"` child span
+    /// per generation, so a probe-equipped tracer attributes every evaluation
+    /// to the generation that spent it. With [`Tracer::disabled`] (what
+    /// [`Self::run`] passes) the spans are inert.
     pub fn run_traced_filtered<P, T, R>(
         &self,
         problem: &mut P,
@@ -490,7 +473,7 @@ mod tests {
                 ..DeConfig::default()
             });
             if filtered {
-                de.run_filtered(&mut problem, &mut AdmitAll, &mut rng)
+                de.run_traced_filtered(&mut problem, &mut AdmitAll, &Tracer::disabled(), &mut rng)
             } else {
                 de.run(&mut problem, &mut rng)
             }
@@ -523,7 +506,8 @@ mod tests {
             ..DeConfig::default()
         });
         let mut filter = RejectAfterFirst { observed: 0 };
-        let result = de.run_filtered(&mut problem, &mut filter, &mut rng);
+        let result =
+            de.run_traced_filtered(&mut problem, &mut filter, &Tracer::disabled(), &mut rng);
         // Initial population + one admitted generation; the five rejected
         // generations cost nothing.
         assert_eq!(result.evaluations, 10 + 10);

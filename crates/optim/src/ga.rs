@@ -134,37 +134,20 @@ impl GeneticAlgorithm {
         problem: &mut P,
         rng: &mut R,
     ) -> OptimizationResult {
-        self.run_filtered(problem, &mut AdmitAll, rng)
+        self.run_traced_filtered(problem, &mut AdmitAll, &Tracer::disabled(), rng)
     }
 
-    /// [`Self::run`] with a [`TrialFilter`] gating each generation's brood:
-    /// rejected children are discarded unevaluated and their first parent
-    /// inherits the population slot. Under [`AdmitAll`] this is bit-identical
-    /// to [`Self::run`] (the filter never touches the RNG stream).
-    pub fn run_filtered<P: Problem + ?Sized, T: TrialFilter + ?Sized, R: Rng + ?Sized>(
-        &self,
-        problem: &mut P,
-        filter: &mut T,
-        rng: &mut R,
-    ) -> OptimizationResult {
-        self.run_traced_filtered(problem, filter, &Tracer::disabled(), rng)
-    }
-
-    /// [`Self::run`] under an observability [`Tracer`]: the whole run becomes
-    /// a `"ga"` span with one `"generation"` child span per generation. With
-    /// [`Tracer::disabled`] the spans are inert and the run is bit-identical
-    /// to [`Self::run`].
-    pub fn run_traced<P: Problem + ?Sized, R: Rng + ?Sized>(
-        &self,
-        problem: &mut P,
-        tracer: &Tracer,
-        rng: &mut R,
-    ) -> OptimizationResult {
-        self.run_traced_filtered(problem, &mut AdmitAll, tracer, rng)
-    }
-
-    /// The fully general entry point: [`Self::run_filtered`] plus the span
-    /// instrumentation of [`Self::run_traced`].
+    /// Runs the GA on `problem` under a [`TrialFilter`] and an observability
+    /// [`Tracer`].
+    ///
+    /// The filter gates each generation's brood: rejected children are
+    /// discarded unevaluated and their first parent inherits the population
+    /// slot. Under [`AdmitAll`] the run is bit-identical to [`Self::run`] (the
+    /// filter never touches the RNG stream).
+    ///
+    /// The whole run becomes a `"ga"` span with one `"generation"` child span
+    /// per generation. With [`Tracer::disabled`] (what [`Self::run`] passes)
+    /// the spans are inert.
     pub fn run_traced_filtered<P, T, R>(
         &self,
         problem: &mut P,

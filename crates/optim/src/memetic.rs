@@ -123,41 +123,23 @@ impl MemeticOptimizer {
         problem: &mut P,
         rng: &mut R,
     ) -> OptimizationResult {
-        self.run_filtered(problem, &mut AdmitAll, rng)
+        self.run_traced_filtered(problem, &mut AdmitAll, &Tracer::disabled(), rng)
     }
 
-    /// [`Self::run`] with a [`TrialFilter`] gating each DE generation's
-    /// trial vectors (rejected trials are discarded unevaluated; their
-    /// parents survive). The Nelder–Mead refinement is *never* filtered: it
-    /// probes a small neighbourhood of the best member, exactly the region a
-    /// surrogate is least able to resolve. Under [`AdmitAll`] this is
-    /// bit-identical to [`Self::run`].
-    pub fn run_filtered<P: Problem + ?Sized, T: TrialFilter + ?Sized, R: Rng + ?Sized>(
-        &self,
-        problem: &mut P,
-        filter: &mut T,
-        rng: &mut R,
-    ) -> OptimizationResult {
-        self.run_traced_filtered(problem, filter, &Tracer::disabled(), rng)
-    }
-
-    /// [`Self::run`] under an observability [`Tracer`]: the run becomes a
-    /// `"memetic"` span with one `"de_generation"` child per DE generation
-    /// and an `"nm_refine"` child for every Nelder–Mead refinement, so a
-    /// probe-equipped tracer splits the evaluation budget between global and
-    /// local search. With [`Tracer::disabled`] the spans are inert and the
-    /// run is bit-identical to [`Self::run`].
-    pub fn run_traced<P: Problem + ?Sized, R: Rng + ?Sized>(
-        &self,
-        problem: &mut P,
-        tracer: &Tracer,
-        rng: &mut R,
-    ) -> OptimizationResult {
-        self.run_traced_filtered(problem, &mut AdmitAll, tracer, rng)
-    }
-
-    /// The fully general entry point: [`Self::run_filtered`] plus the span
-    /// instrumentation of [`Self::run_traced`].
+    /// Runs the memetic optimization on `problem` under a [`TrialFilter`] and
+    /// an observability [`Tracer`].
+    ///
+    /// The filter gates each DE generation's trial vectors (rejected trials
+    /// are discarded unevaluated; their parents survive). The Nelder–Mead
+    /// refinement is *never* filtered: it probes a small neighbourhood of the
+    /// best member, exactly the region a surrogate is least able to resolve.
+    /// Under [`AdmitAll`] the run is bit-identical to [`Self::run`].
+    ///
+    /// The run becomes a `"memetic"` span with one `"de_generation"` child per
+    /// DE generation and an `"nm_refine"` child for every Nelder–Mead
+    /// refinement, so a probe-equipped tracer splits the evaluation budget
+    /// between global and local search. With [`Tracer::disabled`] (what
+    /// [`Self::run`] passes) the spans are inert.
     pub fn run_traced_filtered<P, T, R>(
         &self,
         problem: &mut P,
@@ -338,7 +320,12 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(31);
             let optimizer = MemeticOptimizer::new(config);
             if filtered {
-                optimizer.run_filtered(&mut problem, &mut AdmitAll, &mut rng)
+                optimizer.run_traced_filtered(
+                    &mut problem,
+                    &mut AdmitAll,
+                    &Tracer::disabled(),
+                    &mut rng,
+                )
             } else {
                 optimizer.run(&mut problem, &mut rng)
             }
@@ -379,7 +366,8 @@ mod tests {
             ..MemeticConfig::default()
         });
         let mut filter = RejectAfterFirst { observed: 0 };
-        let result = optimizer.run_filtered(&mut problem, &mut filter, &mut rng);
+        let result =
+            optimizer.run_traced_filtered(&mut problem, &mut filter, &Tracer::disabled(), &mut rng);
         // Initial population + one admitted generation; the three rejected
         // generations cost nothing.
         assert_eq!(result.evaluations, 8 + 8);

@@ -17,7 +17,9 @@
 //! this binary directly.
 
 use moheco_bench::jobspec::{EngineReuse, JobSpec, ScheduleKind};
+use moheco_bench::results::parse_flat_json;
 use moheco_bench::{Algo, BudgetClass, CliArgs};
+use moheco_sampling::splitmix64;
 use moheco_serve::client::{request, request_observed};
 use std::io::Write;
 use std::net::SocketAddr;
@@ -77,33 +79,6 @@ fn job_spec(budget: BudgetClass, job_index: usize, seeds_per_job: usize) -> JobS
     }
 }
 
-/// Pulls `"key": "value"` out of a flat JSON body.
-fn json_str_field(body: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\": \"");
-    let start = body.find(&marker)? + marker.len();
-    let end = body[start..].find('"')? + start;
-    Some(body[start..end].to_string())
-}
-
-/// Pulls `"key": 123` (a bare number) out of a flat JSON body.
-fn json_num_field(body: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\": ");
-    let start = body.find(&marker)? + marker.len();
-    let end = body[start..]
-        .find([',', '}', '\n'])
-        .map(|i| i + start)
-        .unwrap_or(body.len());
-    body[start..end].trim().parse().ok()
-}
-
-/// The 64-bit finalizer from splitmix64 — a cheap, deterministic mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// The delay before retrying a 429'd submission: exponential backoff from
 /// 25ms, doubling per attempt and capped at 2s, plus jitter of up to half
 /// the base delay hashed from `(tenant, job_index, attempt)`. The jitter
@@ -152,8 +127,11 @@ fn submit_with_retry(
                 response.text().trim()
             ));
         }
-        let id = json_str_field(&response.text(), "job")
-            .ok_or_else(|| format!("no job id in {:?}", response.text()))?;
+        let text = response.text();
+        let id = parse_flat_json(&text)
+            .ok()
+            .and_then(|r| r.str("job").map(str::to_string))
+            .ok_or_else(|| format!("no job id in {text:?}"))?;
         return Ok((response.status, id));
     }
 }
@@ -201,15 +179,15 @@ fn run_tenant(
         }
         outcome.row_latencies_ms.append(&mut latencies);
 
-        let status = request(addr, "GET", &format!("/jobs/{id}"), &[], b"")?;
-        if json_str_field(&status.text(), "state").as_deref() != Some("completed") {
+        let status = request(addr, "GET", &format!("/jobs/{id}"), &[], b"")?.text();
+        let record = parse_flat_json(&status).unwrap_or_default();
+        if record.str("state") != Some("completed") {
             outcome.failures += 1;
-            eprintln!("job {id} did not complete: {}", status.text().trim());
+            eprintln!("job {id} did not complete: {}", status.trim());
             continue;
         }
         if adaptive {
-            outcome.ocba_seeds_saved +=
-                json_num_field(&status.text(), "seeds_saved").unwrap_or(0.0) as usize;
+            outcome.ocba_seeds_saved += record.num("seeds_saved").unwrap_or(0.0) as usize;
         }
 
         // Determinism: a finished job's stream is a pure file read — any
@@ -365,4 +343,29 @@ fn run(args: &CliArgs) -> Result<usize, String> {
         .map_err(|e| format!("write {out_path}: {e}"))?;
     println!("{report}");
     Ok(total.failures + total.determinism_violations + total.resume_violations)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_delay_sequence_is_pinned() {
+        // Exponential base (25 ms doubling, capped at 2 s) plus the hashed
+        // jitter; a change to the mixer or the hash chain moves these values.
+        for (tenant, job, attempt, ms) in [
+            ("tenant-0", 0, 0, 26),
+            ("tenant-0", 0, 1, 61),
+            ("tenant-1", 0, 0, 27),
+            ("tenant-1", 3, 2, 136),
+            ("tenant-0", 1, 7, 2095),
+            ("", 0, 20, 2601),
+        ] {
+            assert_eq!(
+                backoff_delay(tenant, job, attempt),
+                Duration::from_millis(ms),
+                "backoff_delay({tenant:?}, {job}, {attempt})"
+            );
+        }
+    }
 }

@@ -324,29 +324,6 @@ pub fn sweep(
     })
 }
 
-/// Differential sweep: records `v(out_p) - v(out_n)` over the sweep.
-///
-/// # Errors
-///
-/// Propagates [`SpiceError::SingularMatrix`] from any sweep point.
-pub fn sweep_differential(
-    circuit: &LinearCircuit,
-    out_p: NodeId,
-    out_n: NodeId,
-    freqs: &[f64],
-) -> Result<FrequencyResponse, SpiceError> {
-    let mut values = Vec::with_capacity(freqs.len());
-    for &f in freqs {
-        let omega = 2.0 * std::f64::consts::PI * f;
-        let v = solve_at(circuit, omega)?;
-        values.push(v[out_p] - v[out_n]);
-    }
-    Ok(FrequencyResponse {
-        freqs: freqs.to_vec(),
-        values,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,24 +439,6 @@ mod tests {
         let resp = sweep(&ckt, out, &freqs).unwrap();
         assert!(resp.unity_gain_freq().is_err());
         assert!(resp.phase_margin_deg().is_err());
-    }
-
-    #[test]
-    fn differential_sweep_doubles_single_ended() {
-        // Symmetric circuit: +gm into out_p, -gm into out_n.
-        let mut ckt = LinearCircuit::new();
-        let vin = ckt.node();
-        let out_p = ckt.node();
-        let out_n = ckt.node();
-        ckt.add_vsource(vin, 0, 1.0);
-        ckt.add_vccs(out_p, 0, vin, 0, 1e-3);
-        ckt.add_resistor(out_p, 0, 10e3);
-        ckt.add_vccs(0, out_n, vin, 0, 1e-3);
-        ckt.add_resistor(out_n, 0, 10e3);
-        let freqs = vec![100.0];
-        let single = sweep(&ckt, out_p, &freqs).unwrap();
-        let diff = sweep_differential(&ckt, out_p, out_n, &freqs).unwrap();
-        assert!((diff.magnitude(0) / single.magnitude(0) - 2.0).abs() < 1e-9);
     }
 
     #[test]

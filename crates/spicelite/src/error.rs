@@ -24,17 +24,13 @@ pub enum SpiceError {
         /// The row at which the factorisation failed.
         row: usize,
     },
-    /// The Newton–Raphson DC solver did not converge.
+    /// A bias-point search did not converge: the target drain current of
+    /// [`crate::mosfet::vgs_for_currents`] lies beyond its gate-voltage range.
     DcNoConvergence {
         /// Number of iterations performed.
         iterations: usize,
         /// Residual norm at the last iteration.
         residual: f64,
-    },
-    /// A netlist referenced a node index that does not exist.
-    UnknownNode {
-        /// The offending node index.
-        node: usize,
     },
     /// A circuit element was constructed with a non-physical value
     /// (e.g. a negative resistance where it is not allowed).
@@ -66,7 +62,6 @@ impl fmt::Display for SpiceError {
                 f,
                 "dc operating point did not converge after {iterations} iterations (residual {residual:e})"
             ),
-            SpiceError::UnknownNode { node } => write!(f, "unknown node index {node}"),
             SpiceError::InvalidElement { reason } => write!(f, "invalid element: {reason}"),
             SpiceError::AcExtraction { reason } => write!(f, "ac extraction failed: {reason}"),
         }
@@ -98,7 +93,6 @@ mod tests {
                 },
                 "50 iterations",
             ),
-            (SpiceError::UnknownNode { node: 7 }, "node index 7"),
             (
                 SpiceError::InvalidElement {
                     reason: "negative capacitance".into(),

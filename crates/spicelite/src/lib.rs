@@ -10,10 +10,10 @@
 //!   dense LU with partial pivoting, Cholesky).
 //! * [`mosfet`] — a square-law MOSFET compact model whose parameters
 //!   (`TOX`, `VTH0`, `LD`, `WD`, mobility, junction caps) are exactly the
-//!   quantities the paper's statistical process models perturb.
-//! * [`netlist`] — nonlinear ([`netlist::Circuit`]) and small-signal
-//!   ([`netlist::LinearCircuit`]) netlists with MNA stamping.
-//! * [`dc`] — Newton–Raphson DC operating-point analysis.
+//!   quantities the paper's statistical process models perturb; closed-form
+//!   bias points come from its `vgs_for_current(s)` inversion.
+//! * [`netlist`] — the small-signal netlist ([`netlist::LinearCircuit`]),
+//!   stamped into MNA by [`ac`] and by [`batch::FactorizedCircuit`].
 //! * [`ac`] — complex MNA frequency sweeps and figure-of-merit extraction
 //!   (DC gain, unity-gain frequency, phase margin).
 //!
@@ -44,19 +44,17 @@
 pub mod ac;
 pub mod batch;
 pub mod complex;
-pub mod dc;
 pub mod error;
 pub mod linalg;
 pub mod mosfet;
 pub mod netlist;
 
-pub use ac::{log_space, sweep, sweep_differential, AcFoms, FrequencyResponse};
+pub use ac::{log_space, sweep, AcFoms, FrequencyResponse};
 pub use batch::FactorizedCircuit;
 pub use complex::Complex;
-pub use dc::{solve_dc, solve_dc_with, DcOptions, DcSolution};
 pub use error::SpiceError;
 pub use linalg::{CMatrix, Matrix};
 pub use mosfet::{
     model_035um, model_90nm, MosGeometry, MosModel, MosOperatingPoint, MosType, Mosfet, Region,
 };
-pub use netlist::{Circuit, LinearCircuit, NodeId};
+pub use netlist::{LinearCircuit, NodeId};

@@ -231,8 +231,8 @@ impl Mosfet {
         let vdsat = vov.max(0.0);
 
         let (region, id, gm, gds) = if vov <= 0.0 {
-            // Subthreshold: exponential tail so the DC solver sees a smooth,
-            // monotone characteristic instead of a hard zero.
+            // Subthreshold: exponential tail so the bias-point bisection sees
+            // a smooth, monotone characteristic instead of a hard zero.
             let n = m.subthreshold_n;
             let i0 = beta * n * VT_THERMAL * VT_THERMAL * 2.0;
             let id = i0 * (vov / (n * VT_THERMAL)).exp() * (1.0 - (-vds / VT_THERMAL).exp());

@@ -1,8 +1,8 @@
 //! Seed-driven property suite for the dense linear-algebra kernels.
 //!
 //! The LU and Cholesky routines in `linalg` are the arithmetic floor the
-//! whole workspace stands on — the DC Newton loop, the AC sweep, the batched
-//! simulation path and the process sampler all funnel through them. The unit
+//! whole workspace stands on — the AC sweep, the batched simulation path and
+//! the process sampler all funnel through them. The unit
 //! tests in the module pin a handful of hand-computed systems; this suite
 //! drives the kernels over families of random systems and asserts the
 //! *properties* that must hold for every member: small residuals on
